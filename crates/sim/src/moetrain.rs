@@ -701,4 +701,86 @@ mod tests {
             "bigger model should not trail early: {big_e1:.3} vs {small_e1:.3}"
         );
     }
+
+    /// One recorded Fig. 3 run: initial accuracy, `(epoch, train_loss,
+    /// eval_accuracy)` per epoch, and the routing before training.
+    type Golden = (f64, [(usize, f64, f64); 2], [f64; 8]);
+
+    #[test]
+    fn fig3_runs_match_recorded_golden_values() {
+        // The four Fig. 3 configurations at one seed, shrunk to two epochs
+        // of 128 examples. The values were recorded before MoE dispatch
+        // became token-gathered (when every active expert still ran on the
+        // whole batch), so this pins the dispatch rewrite bit for bit.
+        // `routing_after` is left out: it comes from `route_only`, which
+        // ignored the gate bias until the same change.
+        let cs = SyntheticTask::commonsense(16, 4, 42);
+        let math = SyntheticTask::math(16, 4, 42);
+        let shrink = |mut cfg: MoeTrainConfig| {
+            cfg.epochs = 2;
+            cfg.train_examples = 128;
+            cfg.eval_examples = 64;
+            cfg
+        };
+        let runs: [(&str, MoeTrainConfig, &SyntheticTask, Golden); 4] = [
+            (
+                "big-D-CS",
+                shrink(MoeTrainConfig::mixtral_like(8)),
+                &cs,
+                (
+                    0.09375,
+                    [(1, 1.4335278868675232, 0.25), (2, 1.292938232421875, 0.5)],
+                    [12.5; 8],
+                ),
+            ),
+            (
+                "big-S-CS",
+                shrink(MoeTrainConfig::mixtral_like(2)),
+                &cs,
+                (
+                    0.09375,
+                    [(1, 1.4329985976219177, 0.25), (2, 1.287405252456665, 0.625)],
+                    [32.8125, 9.375, 4.6875, 0.78125, 8.59375, 9.375, 34.375, 0.0],
+                ),
+            ),
+            (
+                "big-S-MATH",
+                shrink(MoeTrainConfig::mixtral_like(2)),
+                &math,
+                (
+                    0.21875,
+                    [(1, 1.406391978263855, 0.25), (2, 1.324056327342987, 0.3125)],
+                    [
+                        27.34375, 17.96875, 4.6875, 2.34375, 10.15625, 4.6875, 32.8125, 0.0,
+                    ],
+                ),
+            ),
+            (
+                "small-S-CS",
+                shrink(MoeTrainConfig::blackmamba_like(2)),
+                &cs,
+                (
+                    0.28125,
+                    [
+                        (1, 1.3627333641052246, 0.4375),
+                        (2, 1.2760229706764221, 0.53125),
+                    ],
+                    [
+                        3.90625, 3.90625, 19.53125, 11.71875, 0.78125, 28.125, 20.3125, 11.71875,
+                    ],
+                ),
+            ),
+        ];
+        for (label, cfg, task, (initial, curve, before)) in runs {
+            let out = train(task, &cfg, label);
+            assert_eq!(out.initial_accuracy, initial, "{label}: initial accuracy");
+            let got: Vec<(usize, f64, f64)> = out
+                .curve
+                .iter()
+                .map(|m| (m.epoch, m.train_loss, m.eval_accuracy))
+                .collect();
+            assert_eq!(got, curve, "{label}: learning curve");
+            assert_eq!(out.routing_before.pct, before, "{label}: routing before");
+        }
+    }
 }

@@ -259,19 +259,34 @@ mod tests {
             CostModel::new(GpuSpec::a40()),
         );
         let batches: Vec<usize> = (1..=16).collect();
+        // Sweep points are cheap, so one worker may claim all of them; that
+        // cannot prove spans arrive from several threads. Two items that
+        // each wait on a 2-party barrier inside their span can only finish
+        // when two workers hold one item each, so their spans must carry
+        // two distinct thread ids.
+        let barrier = std::sync::Barrier::new(2);
         ftsim_obs::enable();
         ThroughputSweep::run_with_threads(&sim, "span-test", 64, &batches, 4).expect("valid");
+        engine::parallel_map_with(2, &[0, 1], |&i| {
+            let _span = ftsim_obs::span_lazy("sim.sweep", || format!("barrier:{i}"));
+            barrier.wait();
+        });
         ftsim_obs::disable();
         let events: Vec<ftsim_obs::Event> = ftsim_obs::drain_events()
             .into_iter()
-            .filter(|e| e.cat == "sim.sweep" && e.name.starts_with("batch:"))
+            .filter(|e| e.cat == "sim.sweep")
             .collect();
-        assert!(events.len() >= batches.len(), "{} spans", events.len());
-        let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
-        assert!(
-            tids.len() >= 2,
-            "expected multiple worker threads: {tids:?}"
-        );
+        let sweep_spans = events
+            .iter()
+            .filter(|e| e.name.starts_with("batch:"))
+            .count();
+        assert!(sweep_spans >= batches.len(), "{sweep_spans} spans");
+        let tids: std::collections::BTreeSet<u64> = events
+            .iter()
+            .filter(|e| e.name.starts_with("barrier:"))
+            .map(|e| e.tid)
+            .collect();
+        assert_eq!(tids.len(), 2, "expected two worker threads: {tids:?}");
         // One shared monotonic timeline across workers.
         assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }

@@ -346,6 +346,45 @@ impl Var {
         }
     }
 
+    /// Adds row `i` of `g` (`[rows.len(), w]`) into columns `col0..col0 + w`
+    /// of row `rows[i]` of the accumulated gradient, starting from zeros
+    /// when there is none. This is the backward half of a row gather:
+    /// unlisted rows are left alone rather than receiving the exact `±0.0`
+    /// a full-matrix accumulation would add, which changes no bit of any
+    /// nonzero sum. No-op when the variable does not require gradients.
+    fn scatter_grad(&self, rows: &[usize], col0: usize, g: &Tensor) {
+        let mut n = self.node.borrow_mut();
+        if !n.requires_grad {
+            return;
+        }
+        let Node { value, grad, .. } = &mut *n;
+        let grad = grad.get_or_insert_with(|| Tensor::zeros(value.shape().clone()));
+        let (_, cols) = grad.shape().as_matrix().expect("gradient is a matrix");
+        let (_, w) = g.shape().as_matrix().expect("gradient rows are a matrix");
+        let dst = grad.data_mut();
+        for (i, &r) in rows.iter().enumerate() {
+            let at = r * cols + col0;
+            crate::parallel::add_assign_slices(&mut dst[at..at + w], &g.data()[i * w..(i + 1) * w]);
+        }
+    }
+
+    /// A graph node over `parents` whose backward closure is `backward`;
+    /// it requires gradients iff some parent does.
+    fn op(parents: Vec<Var>, value: Tensor, backward: impl Fn(&Tensor) + 'static) -> Var {
+        let requires = parents.iter().any(Var::requires_grad);
+        Var::from_node(Node {
+            value,
+            grad: None,
+            requires_grad: requires,
+            parents,
+            backward: if requires {
+                Some(Box::new(backward))
+            } else {
+                None
+            },
+        })
+    }
+
     fn unary(&self, value: Tensor, backward: impl Fn(&Var, &Tensor) + 'static) -> Var {
         let parent = self.clone();
         let requires = parent.requires_grad();
@@ -390,7 +429,32 @@ impl Var {
     ///
     /// Returns a shape error if the operands are not conforming matrices.
     pub fn matmul(&self, rhs: &Var) -> Result<Var, TensorError> {
-        let value = self.node.borrow().value.matmul(&rhs.node.borrow().value)?;
+        self.matmul_node(None, rhs)
+    }
+
+    /// [`Var::matmul`] on the row subset `rows` of `self`: `self[rows] @ rhs`,
+    /// the composed-path counterpart of [`Var::linear_act_rows`]. The
+    /// backward pass scatters `d self` into the listed rows of `self`'s
+    /// gradient, and each value and gradient is bit-identical to the
+    /// full-matrix product under the same conditions.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if the operands are not conforming matrices, or
+    /// an invalid-argument error if a row index is out of range.
+    pub fn matmul_rows(&self, rows: &Rc<[usize]>, rhs: &Var) -> Result<Var, TensorError> {
+        self.matmul_node(Some(Rc::clone(rows)), rhs)
+    }
+
+    /// The graph node behind [`Var::matmul`] (`rows = None`) and
+    /// [`Var::matmul_rows`].
+    fn matmul_node(&self, rows: Option<Rc<[usize]>>, rhs: &Var) -> Result<Var, TensorError> {
+        let value = self.with_value(|xv| {
+            rhs.with_value(|wv| match &rows {
+                Some(rows) => gather_rows(xv, rows)?.matmul(wv),
+                None => xv.matmul(wv),
+            })
+        })?;
         Ok(Var::binary(self, rhs, value, move |a, b, up| {
             // Operand values are borrowed at backward time instead of cloned
             // at record time; gradients are materialized before the borrow
@@ -400,16 +464,25 @@ impl Var {
                     up.matmul(&bv.transpose().expect("matrix"))
                         .expect("conforming")
                 });
-                a.accumulate_grad(&da);
+                match &rows {
+                    Some(rows) => a.scatter_grad(rows, 0, &da),
+                    None => a.accumulate_grad_owned(da),
+                }
             }
             if b.requires_grad() {
                 let db = a.with_value(|av| {
-                    av.transpose()
+                    let gathered = rows
+                        .as_ref()
+                        .map(|rows| gather_rows(av, rows).expect("rows validated at forward"));
+                    gathered
+                        .as_ref()
+                        .unwrap_or(av)
+                        .transpose()
                         .expect("matrix")
                         .matmul(up)
                         .expect("conforming")
                 });
-                b.accumulate_grad(&db);
+                b.accumulate_grad_owned(db);
             }
         }))
     }
@@ -632,65 +705,189 @@ impl Var {
         bias: &Var,
         act: Activation,
     ) -> Result<Var, TensorError> {
-        let xb = self.node.borrow();
-        let wb = weight.node.borrow();
-        let bb = bias.node.borrow();
-        let (xv, wv, bv) = (&xb.value, &wb.value, &bb.value);
-        let Some(out_shape) = xv.shape().matmul(wv.shape()) else {
-            return Err(TensorError::ShapeMismatch {
-                op: "linear_act",
-                lhs: xv.shape().clone(),
-                rhs: wv.shape().clone(),
-            });
-        };
-        let (m, k) = xv.shape().as_matrix().expect("checked above");
-        let (_, n) = wv.shape().as_matrix().expect("checked above");
-        if bv.shape().as_matrix() != Some((1, n)) {
-            return Err(TensorError::ShapeMismatch {
-                op: "linear_act",
-                lhs: xv.shape().clone(),
-                rhs: bv.shape().clone(),
-            });
-        }
-        let mut value = Tensor::zeros(out_shape);
-        // The identity epilogue needs no saved pre-activation: act' ≡ 1 and
-        // the upstream gradient passes through untouched.
-        let mut pre = (act != Activation::Identity).then(|| Tensor::zeros(Shape::matrix(m, n)));
-        crate::parallel::matmul_bias_act_into(
-            xv.data(),
-            wv.data(),
-            Some(bv.data()),
-            act,
-            value.data_mut(),
-            pre.as_mut().map(Tensor::data_mut),
-            m,
-            k,
-            n,
-        );
-        drop(xb);
-        drop(wb);
-        drop(bb);
-        let requires = self.requires_grad() || weight.requires_grad() || bias.requires_grad();
+        self.linear_node(None, weight, bias, act)
+    }
+
+    /// [`Var::linear_act`] applied to the row subset `rows` of `self`:
+    /// `act(self[rows] @ weight + bias)`, an `[rows.len(), n]` result whose
+    /// row `i` is the layer applied to row `rows[i]` of `self`. This is the
+    /// first linear of an expert under token-gathered MoE dispatch (the
+    /// `hidden_states[top_x]` gather of the paper's Fig. 12, fused into the
+    /// layer so no gathered copy of the input outlives the forward call).
+    ///
+    /// The backward pass scatters `d self` straight into the listed rows of
+    /// `self`'s gradient; unlisted rows receive nothing. Each row's value and
+    /// gradient is bit-identical to the matching row of
+    /// `self.linear_act(..)` on the full matrix — the kernels compute every
+    /// output row from its input row alone — and the weight and bias
+    /// gradients equal the full-matrix ones whenever the unlisted rows of
+    /// the upstream gradient are zero, because the dropped terms are exact
+    /// `±0.0` additions (DESIGN.md, "Kernel contracts", rule 5).
+    ///
+    /// ```
+    /// use std::rc::Rc;
+    /// use ftsim_tensor::{Activation, Tensor, Var};
+    /// let x = Var::parameter(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap());
+    /// let w = Var::parameter(Tensor::from_rows(&[&[0.5], &[-0.25]]).unwrap());
+    /// let b = Var::parameter(Tensor::from_rows(&[&[0.1]]).unwrap());
+    /// let rows: Rc<[usize]> = Rc::from([1]);
+    /// let y = x.linear_act_rows(&rows, &w, &b, Activation::Identity).unwrap();
+    /// assert_eq!(y.value().data(), &[3.0 * 0.5 - 4.0 * 0.25 + 0.1]);
+    /// y.sum().backward();
+    /// assert_eq!(x.grad().unwrap().row(0), &[0.0, 0.0]); // row 0 not routed
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error for the same operand mismatches as
+    /// [`Var::linear_act`], or an invalid-argument error if a row index is
+    /// out of range.
+    pub fn linear_act_rows(
+        &self,
+        rows: &Rc<[usize]>,
+        weight: &Var,
+        bias: &Var,
+        act: Activation,
+    ) -> Result<Var, TensorError> {
+        self.linear_node(Some(Rc::clone(rows)), weight, bias, act)
+    }
+
+    /// The graph node behind [`Var::linear_act`] (`rows = None`) and
+    /// [`Var::linear_act_rows`].
+    fn linear_node(
+        &self,
+        rows: Option<Rc<[usize]>>,
+        weight: &Var,
+        bias: &Var,
+        act: Activation,
+    ) -> Result<Var, TensorError> {
+        let (value, pre) = self.with_value(|xv| match &rows {
+            Some(rows) => linear_act_forward(&gather_rows(xv, rows)?, weight, bias, act),
+            None => linear_act_forward(xv, weight, bias, act),
+        })?;
         let (x2, w2, b2) = (self.clone(), weight.clone(), bias.clone());
-        Ok(Var::from_node(Node {
+        Ok(Var::op(
+            vec![self.clone(), weight.clone(), bias.clone()],
             value,
-            grad: None,
-            requires_grad: requires,
-            parents: vec![self.clone(), weight.clone(), bias.clone()],
-            backward: if requires {
-                Some(Box::new(move |up| {
-                    let (m, n) = up.shape().as_matrix().expect("matrix");
-                    let k = x2.with_value(|xv| xv.shape().as_matrix().expect("matrix").1);
-                    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-                    if flops < crate::parallel::PARALLEL_FLOP_THRESHOLD {
-                        linear_act_backward_streaming(&x2, &w2, &b2, pre.as_ref(), act, up);
-                    } else {
-                        linear_act_backward_materialized(&x2, &w2, &b2, pre.as_ref(), act, up);
-                    }
-                }))
-            } else {
-                None
+            move |up| {
+                let need = [b2.requires_grad(), x2.requires_grad(), w2.requires_grad()];
+                let (db, dx, dw) = x2.with_value(|xv| {
+                    let gathered = rows
+                        .as_ref()
+                        .map(|rows| gather_rows(xv, rows).expect("rows validated at forward"));
+                    let xv = gathered.as_ref().unwrap_or(xv);
+                    w2.with_value(|wv| linear_act_grads(xv, wv, pre.as_ref(), act, up, need))
+                });
+                // Same accumulation order as the composed chain: bias, input, weight.
+                if let Some(db) = db {
+                    b2.accumulate_grad_owned(db);
+                }
+                match (dx, &rows) {
+                    (Some(dx), Some(rows)) => x2.scatter_grad(rows, 0, &dx),
+                    (Some(dx), None) => x2.accumulate_grad_owned(dx),
+                    (None, _) => {}
+                }
+                if let Some(dw) = dw {
+                    w2.accumulate_grad_owned(dw);
+                }
             },
+        ))
+    }
+
+    /// Column `col` of `self` (`[m, n]`) at the rows `rows`, as an
+    /// `[rows.len(), 1]` column: the gathered router weights of one expert
+    /// (`routing_weights[top_x, idx]` in the paper's Fig. 12). The backward
+    /// pass adds the upstream gradient into exactly those entries of
+    /// `self`'s gradient.
+    ///
+    /// # Errors
+    ///
+    /// Returns an invalid-argument error if `self` is not a matrix or `col`
+    /// or a row index is out of range.
+    pub fn gather_col(&self, rows: &Rc<[usize]>, col: usize) -> Result<Var, TensorError> {
+        let value = self.with_value(|v| {
+            let (m, n) = v.shape().as_matrix().ok_or_else(|| {
+                TensorError::InvalidArgument("gather_col requires a matrix".into())
+            })?;
+            if col >= n {
+                return Err(TensorError::InvalidArgument(format!(
+                    "column {col} out of range for {n} columns"
+                )));
+            }
+            check_rows(rows, m)?;
+            let mut data = crate::pool::take(rows.len());
+            data.extend(rows.iter().map(|&r| v.data()[r * n + col]));
+            Tensor::new(Shape::matrix(rows.len(), 1), data)
+        })?;
+        let rows = Rc::clone(rows);
+        Ok(self.unary(value, move |a, up| a.scatter_grad(&rows, col, up)))
+    }
+
+    /// Scatter-adds the rows of `self` (`[rows.len(), d]`) into a
+    /// `[tokens, d]` matrix: row `i` of `self` is added to row `rows[i]` of
+    /// `into` (or of a zero matrix when `into` is `None`). This is the
+    /// `final_hidden_states.index_add_(0, top_x, ..)` combine step of the
+    /// paper's Fig. 12 expert loop.
+    ///
+    /// The backward pass hands `into` the full upstream gradient and `self`
+    /// the gradient rows at `rows`. Rows of the result that `rows` does not
+    /// list equal the matching rows of `into` exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `self` is not `[rows.len(), d]` or `into` is
+    /// not `[tokens, d]`, or an invalid-argument error if a row index is out
+    /// of range.
+    pub fn scatter_add_rows(
+        &self,
+        rows: &Rc<[usize]>,
+        into: Option<&Var>,
+        tokens: usize,
+    ) -> Result<Var, TensorError> {
+        let value = self.with_value(|src| {
+            let d = match src.shape().as_matrix() {
+                Some((n, d)) if n == rows.len() => d,
+                _ => {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "scatter_add_rows source {} does not hold {} rows",
+                        src.shape(),
+                        rows.len()
+                    )))
+                }
+            };
+            check_rows(rows, tokens)?;
+            let mut out = match into {
+                Some(acc) => acc.value(),
+                None => Tensor::zeros(Shape::matrix(tokens, d)),
+            };
+            if out.shape().as_matrix() != Some((tokens, d)) {
+                return Err(TensorError::ShapeMismatch {
+                    op: "scatter_add_rows",
+                    lhs: out.shape().clone(),
+                    rhs: src.shape().clone(),
+                });
+            }
+            let out_data = out.data_mut();
+            for (i, &r) in rows.iter().enumerate() {
+                crate::parallel::add_assign_slices(
+                    &mut out_data[r * d..(r + 1) * d],
+                    &src.data()[i * d..(i + 1) * d],
+                );
+            }
+            Ok(out)
+        })?;
+        let src = self.clone();
+        let acc = into.cloned();
+        let rows = Rc::clone(rows);
+        let mut parents: Vec<Var> = into.into_iter().cloned().collect();
+        parents.push(self.clone());
+        Ok(Var::op(parents, value, move |up| {
+            if let Some(acc) = &acc {
+                acc.accumulate_grad(up);
+            }
+            if src.requires_grad() {
+                src.accumulate_grad_owned(gather_rows(up, &rows).expect("rows validated"));
+            }
         }))
     }
 
@@ -837,75 +1034,117 @@ impl Var {
     }
 }
 
-/// The streaming fused backward path for [`Var::linear_act`]: folds `act'`
-/// into the `d bias` / `d self` / `d weight` sweeps without materializing
-/// `dpre` or the operand transposes. Serial — used below the parallel
-/// threshold, where it wins by skipping four full-tensor temporaries.
-fn linear_act_backward_streaming(
-    x2: &Var,
-    w2: &Var,
-    b2: &Var,
-    pre: Option<&Tensor>,
-    act: Activation,
-    up: &Tensor,
-) {
-    let (db, dx, dw) = x2.with_value(|xv| {
-        w2.with_value(|wv| {
-            let (m, k) = xv.shape().as_matrix().expect("matrix");
-            let (_, n) = wv.shape().as_matrix().expect("matrix");
-            let mut db = b2
-                .requires_grad()
-                .then(|| Tensor::zeros(Shape::matrix(1, n)));
-            let mut dx = x2
-                .requires_grad()
-                .then(|| Tensor::zeros(Shape::matrix(m, k)));
-            let mut dw = w2
-                .requires_grad()
-                .then(|| Tensor::zeros(Shape::matrix(k, n)));
-            let mut scratch = crate::pool::take_shaped_zeroed(&[n]);
-            crate::parallel::linear_act_backward_into(
-                up.data(),
-                pre.map(Tensor::data),
-                act,
-                xv.data(),
-                wv.data(),
-                db.as_mut().map(Tensor::data_mut),
-                dx.as_mut().map(Tensor::data_mut),
-                dw.as_mut().map(Tensor::data_mut),
-                &mut scratch,
-                m,
-                k,
-                n,
-            );
-            crate::pool::give_shaped(&[n], scratch);
-            (db, dx, dw)
-        })
-    });
-    // Same accumulation order as the composed chain: bias, input, weight.
-    if let Some(db) = db {
-        b2.accumulate_grad_owned(db);
-    }
-    if let Some(dx) = dx {
-        x2.accumulate_grad_owned(dx);
-    }
-    if let Some(dw) = dw {
-        w2.accumulate_grad_owned(dw);
+/// Rejects row indices at or beyond `m`.
+fn check_rows(rows: &[usize], m: usize) -> Result<(), TensorError> {
+    match rows.iter().find(|&&r| r >= m) {
+        Some(r) => Err(TensorError::InvalidArgument(format!(
+            "row {r} out of range for {m} rows"
+        ))),
+        None => Ok(()),
     }
 }
 
-/// The materialized fused backward path for [`Var::linear_act`]: builds
-/// `dpre = up ⊙ act'(pre)` and runs the two gradient matmuls through the
-/// (row-partitionable) microkernel. Bit-identical to the streaming path —
-/// both accumulate each gradient element in the same order — and preferred
-/// above the parallel threshold where threaded matmuls dominate.
-fn linear_act_backward_materialized(
-    x2: &Var,
-    w2: &Var,
-    b2: &Var,
+/// The `[rows.len(), k]` matrix whose row `i` is row `rows[i]` of `x`.
+fn gather_rows(x: &Tensor, rows: &[usize]) -> Result<Tensor, TensorError> {
+    let (m, k) = x
+        .shape()
+        .as_matrix()
+        .ok_or_else(|| TensorError::InvalidArgument("row gather requires a matrix".into()))?;
+    check_rows(rows, m)?;
+    let mut data = crate::pool::take(rows.len() * k);
+    for &r in rows {
+        data.extend_from_slice(&x.data()[r * k..(r + 1) * k]);
+    }
+    Tensor::new(Shape::matrix(rows.len(), k), data)
+}
+
+/// Forward value of `act(xv @ weight + bias)` through the fused kernel,
+/// plus the saved pre-activation (`None` for the identity epilogue, whose
+/// derivative is 1 and needs no saved state).
+fn linear_act_forward(
+    xv: &Tensor,
+    weight: &Var,
+    bias: &Var,
+    act: Activation,
+) -> Result<(Tensor, Option<Tensor>), TensorError> {
+    let wb = weight.node.borrow();
+    let bb = bias.node.borrow();
+    let (wv, bv) = (&wb.value, &bb.value);
+    let Some(out_shape) = xv.shape().matmul(wv.shape()) else {
+        return Err(TensorError::ShapeMismatch {
+            op: "linear_act",
+            lhs: xv.shape().clone(),
+            rhs: wv.shape().clone(),
+        });
+    };
+    let (m, k) = xv.shape().as_matrix().expect("checked above");
+    let (_, n) = wv.shape().as_matrix().expect("checked above");
+    if bv.shape().as_matrix() != Some((1, n)) {
+        return Err(TensorError::ShapeMismatch {
+            op: "linear_act",
+            lhs: xv.shape().clone(),
+            rhs: bv.shape().clone(),
+        });
+    }
+    let mut value = Tensor::zeros(out_shape);
+    let mut pre = (act != Activation::Identity).then(|| Tensor::zeros(Shape::matrix(m, n)));
+    crate::parallel::matmul_bias_act_into(
+        xv.data(),
+        wv.data(),
+        Some(bv.data()),
+        act,
+        value.data_mut(),
+        pre.as_mut().map(Tensor::data_mut),
+        m,
+        k,
+        n,
+    );
+    Ok((value, pre))
+}
+
+/// Gradients `(d bias, d x, d weight)` of `y = act(xv @ wv + b)` for the
+/// upstream gradient `up`; `need` selects which of the three to compute.
+///
+/// Below the parallel-matmul threshold this is the streaming epilogue
+/// (`parallel::linear_act_backward_into`), which folds `act'` into the
+/// three sweeps without materializing `dpre` or the operand transposes.
+/// Above it, `dpre = up ⊙ act'(pre)` is built and the two gradient matmuls
+/// run through the row-partitioned microkernel. The two paths accumulate
+/// every gradient element in the same order, so they are bit-identical.
+fn linear_act_grads(
+    xv: &Tensor,
+    wv: &Tensor,
     pre: Option<&Tensor>,
     act: Activation,
     up: &Tensor,
-) {
+    need: [bool; 3],
+) -> (Option<Tensor>, Option<Tensor>, Option<Tensor>) {
+    let [need_db, need_dx, need_dw] = need;
+    let (m, k) = xv.shape().as_matrix().expect("matrix");
+    let (_, n) = wv.shape().as_matrix().expect("matrix");
+    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
+    if flops < crate::parallel::PARALLEL_FLOP_THRESHOLD {
+        let mut db = need_db.then(|| Tensor::zeros(Shape::matrix(1, n)));
+        let mut dx = need_dx.then(|| Tensor::zeros(Shape::matrix(m, k)));
+        let mut dw = need_dw.then(|| Tensor::zeros(Shape::matrix(k, n)));
+        let mut scratch = crate::pool::take_shaped_zeroed(&[n]);
+        crate::parallel::linear_act_backward_into(
+            up.data(),
+            pre.map(Tensor::data),
+            act,
+            xv.data(),
+            wv.data(),
+            db.as_mut().map(Tensor::data_mut),
+            dx.as_mut().map(Tensor::data_mut),
+            dw.as_mut().map(Tensor::data_mut),
+            &mut scratch,
+            m,
+            k,
+            n,
+        );
+        crate::pool::give_shaped(&[n], scratch);
+        return (db, dx, dw);
+    }
     // dpre = up ⊙ act'(pre); for Identity, up itself.
     let owned;
     let dpre: &Tensor = match pre {
@@ -917,32 +1156,26 @@ fn linear_act_backward_materialized(
         }
         None => up,
     };
-    let (m, n) = dpre.shape().as_matrix().expect("matrix");
-    if b2.requires_grad() {
+    let db = need_db.then(|| {
         let mut db = Tensor::zeros(Shape::matrix(1, n));
         for r in 0..m {
             for c in 0..n {
                 db.set2(0, c, db.get2(0, c) + dpre.get2(r, c));
             }
         }
-        b2.accumulate_grad(&db);
-    }
-    if x2.requires_grad() {
-        let dx = w2.with_value(|wv| {
-            dpre.matmul(&wv.transpose().expect("matrix"))
-                .expect("conforming")
-        });
-        x2.accumulate_grad(&dx);
-    }
-    if w2.requires_grad() {
-        let dw = x2.with_value(|xv| {
-            xv.transpose()
-                .expect("matrix")
-                .matmul(dpre)
-                .expect("conforming")
-        });
-        w2.accumulate_grad(&dw);
-    }
+        db
+    });
+    let dx = need_dx.then(|| {
+        dpre.matmul(&wv.transpose().expect("matrix"))
+            .expect("conforming")
+    });
+    let dw = need_dw.then(|| {
+        xv.transpose()
+            .expect("matrix")
+            .matmul(dpre)
+            .expect("conforming")
+    });
+    (db, dx, dw)
 }
 
 thread_local! {

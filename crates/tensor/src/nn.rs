@@ -11,6 +11,7 @@ use crate::ops;
 use crate::ops::Activation;
 use crate::tensor::{Tensor, TensorError};
 use rand::Rng;
+use std::rc::Rc;
 
 /// A fully-connected layer `y = x @ W + b`.
 #[derive(Debug, Clone)]
@@ -57,11 +58,39 @@ impl Linear {
     ///
     /// Returns a shape error if `x` has the wrong inner dimension.
     pub fn forward_naive(&self, x: &Var, act: Activation) -> Result<Var, TensorError> {
-        let pre = x.matmul(&self.weight)?.add_row(&self.bias)?;
+        self.bias_act_naive(&x.matmul(&self.weight)?, act)
+    }
+
+    /// The composed tail of [`Linear::forward_naive`]: row-bias add, then
+    /// the activation as its own node.
+    fn bias_act_naive(&self, xw: &Var, act: Activation) -> Result<Var, TensorError> {
+        let pre = xw.add_row(&self.bias)?;
         Ok(match act {
             Activation::Identity => pre,
             act => pre.activate(act),
         })
+    }
+
+    /// [`Linear::forward_act`] (`fused = true`) or [`Linear::forward_naive`]
+    /// (`fused = false`) applied to the rows `rows` of `x` only; row `i` of
+    /// the result is the layer applied to row `rows[i]` of `x`, and the
+    /// backward pass scatters the input gradient back into those rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `x` has the wrong inner dimension, or an
+    /// invalid-argument error if a row index is out of range.
+    pub fn forward_rows(
+        &self,
+        x: &Var,
+        rows: &Rc<[usize]>,
+        act: Activation,
+        fused: bool,
+    ) -> Result<Var, TensorError> {
+        if fused {
+            return x.linear_act_rows(rows, &self.weight, &self.bias, act);
+        }
+        self.bias_act_naive(&x.matmul_rows(rows, &self.weight)?, act)
     }
 
     /// Rebuilds a layer from snapshot tensors, in the order
@@ -91,11 +120,6 @@ impl Linear {
     /// The trainable parameters of this layer.
     pub fn parameters(&self) -> Vec<Var> {
         vec![self.weight.clone(), self.bias.clone()]
-    }
-
-    /// The weight matrix variable.
-    pub fn weight(&self) -> &Var {
-        &self.weight
     }
 
     /// Number of scalar parameters.
@@ -143,17 +167,31 @@ impl Expert {
     ///
     /// Propagates shape errors from the underlying linear layers.
     pub fn forward(&self, x: &Var) -> Result<Var, TensorError> {
-        self.forward_with(x, true)
+        let all: Rc<[usize]> = (0..x.shape().dims()[0]).collect();
+        self.forward_rows(x, &all, true)
     }
 
-    /// Applies the expert using either the fused kernels (`fused = true`,
-    /// the production path) or the composed naive ops (`fused = false`, the
+    /// Applies the expert to the rows `rows` of a `[tokens, hidden]` batch
+    /// only, returning a `[rows.len(), hidden]` result (row `i` belongs to
+    /// token `rows[i]`). `fused = true` runs the fused kernels (the
+    /// production path), `fused = false` the composed naive ops (the
     /// retained reference path); the two are bit-identical.
+    ///
+    /// Each first linear (W1, and W3 for SwiGLU) gathers its rows from `x`
+    /// itself and scatters its input gradient straight back into `x`, so
+    /// `x`'s gradient receives one contribution per layer in the same order
+    /// as when the expert ran on the whole batch.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the underlying linear layers.
-    pub fn forward_with(&self, x: &Var, fused: bool) -> Result<Var, TensorError> {
+    /// Propagates shape errors from the underlying linear layers, and
+    /// rejects out-of-range row indices.
+    pub fn forward_rows(
+        &self,
+        x: &Var,
+        rows: &Rc<[usize]>,
+        fused: bool,
+    ) -> Result<Var, TensorError> {
         let layer = |l: &Linear, x: &Var, act: Activation| {
             if fused {
                 l.forward_act(x, act)
@@ -163,16 +201,16 @@ impl Expert {
         };
         match self.kind {
             ExpertKind::GeluFfn => {
-                let h = layer(&self.w1, x, Activation::Gelu)?;
+                let h = self.w1.forward_rows(x, rows, Activation::Gelu, fused)?;
                 layer(&self.w2, &h, Activation::Identity)
             }
             ExpertKind::SwiGlu => {
-                let gate = layer(&self.w1, x, Activation::Silu)?;
-                let up = layer(
-                    self.w3.as_ref().expect("SwiGlu expert always has W3"),
-                    x,
-                    Activation::Identity,
-                )?;
+                let gate = self.w1.forward_rows(x, rows, Activation::Silu, fused)?;
+                let up = self
+                    .w3
+                    .as_ref()
+                    .expect("SwiGlu expert always has W3")
+                    .forward_rows(x, rows, Activation::Identity, fused)?;
                 layer(&self.w2, &gate.mul(&up)?, Activation::Identity)
             }
         }
@@ -378,6 +416,13 @@ impl MoeLayer {
     /// kernel, `fused = false` uses the composed naive ops. Both paths are
     /// bit-identical in values and gradients.
     ///
+    /// Dispatch is token-gathered, as in the expert loop of the paper's
+    /// Fig. 12: each expert runs only on the rows routed to it, its output
+    /// is weighted by those rows' gathered router weights, and the result is
+    /// scatter-added into the `[tokens, hidden]` output. Experts that
+    /// received no token build no graph at all. With `top_k ==
+    /// num_experts` every row is routed to every expert.
+    ///
     /// # Errors
     ///
     /// Propagates shape errors from the gate or experts.
@@ -387,41 +432,36 @@ impl MoeLayer {
         } else {
             self.gate.forward_naive(x, Activation::Identity)?
         };
-        let logits_val = logits.value();
-        let (tokens, e) = logits_val
-            .shape()
-            .as_matrix()
-            .expect("gate output is a matrix");
+        let (tokens, e) = logits.shape().as_matrix().expect("gate output is a matrix");
         // Top-k selection (non-differentiable index choice, like torch.topk).
+        // Rows are collected in ascending token order, which keeps every
+        // gathered accumulation in the order the full batch would use.
         let mut masks = vec![vec![false; e]; tokens];
-        let mut stats = RoutingStats {
-            tokens_per_expert: vec![0; e],
-        };
-        for (t, mask) in masks.iter_mut().enumerate() {
-            for (idx, _) in ops::topk(logits_val.row(t), self.top_k) {
-                mask[idx] = true;
-                stats.tokens_per_expert[idx] += 1;
+        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); e];
+        logits.with_value(|lv| {
+            for (t, mask) in masks.iter_mut().enumerate() {
+                for (idx, _) in ops::topk(lv.row(t), self.top_k) {
+                    mask[idx] = true;
+                    routed[idx].push(t);
+                }
             }
-        }
+        });
+        let stats = RoutingStats {
+            tokens_per_expert: routed.iter().map(Vec::len).collect(),
+        };
         // softmax over the selected experts only (paper Fig. 12, lines 2-3).
         let weights = logits.masked_softmax_rows(&masks)?;
-        let weights_val = weights.value();
 
-        // Combine expert outputs: out = Σ_e  w[:, e] ⊙ expert_e(x).
-        // Experts that received no token are skipped entirely (their gate
-        // weight column is identically zero), matching the sparse compute
-        // path of Fig. 12's expert loop.
+        // out = Σ_e scatter(rows_e, w[rows_e, e] ⊙ expert_e(x[rows_e])).
         let mut out: Option<Var> = None;
-        for (ei, expert) in self.experts.iter().enumerate() {
-            if stats.tokens_per_expert[ei] == 0 {
+        for (ei, (expert, rows)) in self.experts.iter().zip(routed).enumerate() {
+            if rows.is_empty() {
                 continue;
             }
-            let col = extract_column(&weights, &weights_val, ei)?;
-            let contribution = expert.forward_with(x, fused)?.mul_col(&col)?;
-            out = Some(match out {
-                Some(acc) => acc.add(&contribution)?,
-                None => contribution,
-            });
+            let rows: Rc<[usize]> = rows.into();
+            let col = weights.gather_col(&rows, ei)?;
+            let contribution = expert.forward_rows(x, &rows, fused)?.mul_col(&col)?;
+            out = Some(contribution.scatter_add_rows(&rows, out.as_ref(), tokens)?);
         }
         let out = out.expect("top_k >= 1 guarantees at least one active expert");
         Ok((out, stats))
@@ -447,7 +487,13 @@ impl MoeLayer {
     ///
     /// Propagates shape errors from the gate.
     pub fn route_only(&self, x: &Tensor) -> Result<RoutingStats, TensorError> {
-        let logits = self.gate.weight().with_value(|w| x.matmul(w))?;
+        // The same fused `x @ W + b` kernel as the gate in `forward`, so the
+        // logits — and hence the top-k choice — match training bit for bit.
+        let logits = self.gate.weight.with_value(|w| {
+            self.gate
+                .bias
+                .with_value(|b| ops::matmul_bias_act(x, w, Some(b), Activation::Identity))
+        })?;
         let (tokens, e) = logits.shape().as_matrix().expect("matrix");
         let mut stats = RoutingStats {
             tokens_per_expert: vec![0; e],
@@ -459,24 +505,6 @@ impl MoeLayer {
         }
         Ok(stats)
     }
-}
-
-/// Differentiable extraction of column `col` of `weights` as an `[m, 1]` Var.
-fn extract_column(weights: &Var, value: &Tensor, col: usize) -> Result<Var, TensorError> {
-    let (m, n) = value
-        .shape()
-        .as_matrix()
-        .ok_or_else(|| TensorError::InvalidArgument("extract_column requires a matrix".into()))?;
-    if col >= n {
-        return Err(TensorError::InvalidArgument(format!(
-            "column {col} out of range for {n} columns"
-        )));
-    }
-    // weights [m, n] @ selector [n, 1] keeps gradients flowing to `weights`.
-    let mut selector = Tensor::zeros([n, 1]);
-    selector.set2(col, 0, 1.0);
-    let _ = m;
-    weights.matmul(&Var::constant(selector))
 }
 
 /// Stochastic gradient descent with optional weight decay.
@@ -660,9 +688,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let moe = MoeLayer::new(ExpertKind::GeluFfn, 4, 8, 4, 2, &mut rng).unwrap();
         let x = Tensor::rand_uniform([12, 4], 1.0, &mut rng);
-        let quick = moe.route_only(&x).unwrap();
-        let (_, full) = moe.forward(&Var::constant(x)).unwrap();
-        assert_eq!(quick.tokens_per_expert, full.tokens_per_expert);
+        let labels: Vec<usize> = (0..12).map(|i| i % 4).collect();
+        let check = |tag: &str| {
+            let quick = moe.route_only(&x).unwrap();
+            let (_, full) = moe.forward(&Var::constant(x.clone())).unwrap();
+            assert_eq!(quick.tokens_per_expert, full.tokens_per_expert, "{tag}");
+            full
+        };
+        // A fresh gate has a zero bias.
+        check("untrained gate");
+        // Training moves the gate bias off zero; routing must still use it.
+        let params = moe.parameters();
+        let mut opt = AdamW::new(0.1, params.len());
+        for _ in 0..20 {
+            let (h, _) = moe.forward(&Var::constant(x.clone())).unwrap();
+            h.cross_entropy(&labels).unwrap().backward();
+            opt.step(&params);
+        }
+        let full = check("trained gate");
+        // The bias matters here: routing on `x @ W` alone would differ.
+        let logits = moe.gate.weight.with_value(|w| x.matmul(w)).unwrap();
+        let mut biasless = vec![0; 4];
+        for t in 0..12 {
+            for (idx, _) in ops::topk(logits.row(t), 2) {
+                biasless[idx] += 1;
+            }
+        }
+        assert_ne!(
+            biasless, full.tokens_per_expert,
+            "bias did not affect routing"
+        );
     }
 
     #[test]
@@ -787,13 +842,27 @@ mod tests {
 
     #[test]
     fn steady_state_sparse_training_steps_allocate_nothing() {
-        // The sparse analogue of the dense steady-state test above, enabled
-        // by the pool's power-of-two capacity buckets: with top-2 routing
-        // the set of active experts varies step to step, and the batch size
-        // alternates between 15 and 16 rows so tensor lengths change too.
-        // Exact-capacity shelving missed on every size flip; same-bucket
-        // buffers are fungible, so after warm-up covers both batch shapes
-        // and the peak expert count, steps stay allocation-free.
+        // The sparse analogue of the dense steady-state test above: with
+        // top-2 routing the set of active experts varies step to step, and
+        // the batch size alternates between 15 and 16 rows.
+        //
+        // Warm-up is derived from the pool's bucket invariant: a request
+        // for `len` elements is served only from bucket `ceil_pow2(len)`.
+        // Under token-gathered dispatch an expert's tensors have one row
+        // per routed token, so which buckets a step draws from — and how
+        // many buffers from each — follows the routing, which drifts as the
+        // router trains. No fixed number of warm-up steps covers routings
+        // not yet seen. Training is deterministic, though, so a replica
+        // rebuilt from the same initial parameters routes every step of the
+        // same schedule identically. Rehearsing the whole schedule on that
+        // replica first issues exactly the requests the measured run will
+        // issue, so the shelves already hold every bucket at the depth the
+        // measured steps need; any fresh allocation they still make is
+        // storage that was not recycled. The arena is cleared between the
+        // two runs: parked nodes keep their last value until reused, so the
+        // rehearsal's leftovers would otherwise withhold buffers, and an
+        // empty free list makes the measured run's node reuse (and hence
+        // its deferred releases) replay the rehearsal's exactly.
         let mut rng = StdRng::seed_from_u64(43);
         let moe = MoeLayer::new(ExpertKind::SwiGlu, 4, 8, 4, 2, &mut rng).unwrap();
         let head = Linear::new(4, 3, &mut rng);
@@ -806,47 +875,59 @@ mod tests {
                 )
             })
             .collect();
-        let mut params = moe.parameters();
-        params.extend(head.parameters());
-        let mut opt = AdamW::new(0.02, params.len());
-        let mut step = |batch: &(Tensor, Vec<usize>), expect_zero: bool, tag: &str| {
-            let before = crate::pool::stats();
-            let nodes_before = crate::autograd::arena_stats();
-            let xv = Var::constant(batch.0.clone());
-            let (h, stats) = moe.forward(&xv).unwrap();
-            assert_eq!(
-                stats.tokens_per_expert.iter().sum::<usize>(),
-                batch.1.len() * 2,
-                "top-2 routing must stay sparse"
-            );
-            let loss = head.forward(&h).unwrap().cross_entropy(&batch.1).unwrap();
-            loss.backward();
-            opt.step(&params);
-            drop(loss);
-            drop(h);
-            drop(xv);
-            let fresh = crate::pool::stats().allocs_since(&before);
-            let fresh_nodes = crate::autograd::arena_stats().allocs_since(&nodes_before);
-            if expect_zero {
-                assert_eq!(fresh, 0, "{tag}: {fresh} fresh allocations in steady state");
+        let mut snapshot = moe.parameters();
+        snapshot.extend(head.parameters());
+        let snapshot: Vec<Tensor> = snapshot.iter().map(Var::value).collect();
+        let replica = || {
+            let mut params = snapshot.clone().into_iter();
+            let moe = MoeLayer::from_parameters(ExpertKind::SwiGlu, 4, 2, &mut params).unwrap();
+            let head = Linear::from_parts(params.next().unwrap(), params.next().unwrap());
+            (moe, head)
+        };
+        // Two cycles through both batch shapes (the second also settles
+        // the arena's one-step-deferred value release), then the measured
+        // steps.
+        const WARMUP: usize = 4;
+        let schedule: Vec<&(Tensor, Vec<usize>)> = (0..WARMUP + 4)
+            .map(|i| &batches[i % batches.len()])
+            .collect();
+        let train = |moe: &MoeLayer, head: &Linear, armed: bool| {
+            let mut params = moe.parameters();
+            params.extend(head.parameters());
+            let mut opt = AdamW::new(0.02, params.len());
+            for (i, batch) in schedule.iter().enumerate() {
+                let before = crate::pool::stats();
+                let nodes_before = crate::autograd::arena_stats();
+                let xv = Var::constant(batch.0.clone());
+                let (h, stats) = moe.forward(&xv).unwrap();
                 assert_eq!(
-                    fresh_nodes, 0,
-                    "{tag}: {fresh_nodes} fresh graph nodes in steady state"
+                    stats.tokens_per_expert.iter().sum::<usize>(),
+                    batch.1.len() * 2,
+                    "top-2 routing must stay sparse"
                 );
+                let loss = head.forward(&h).unwrap().cross_entropy(&batch.1).unwrap();
+                loss.backward();
+                opt.step(&params);
+                drop(loss);
+                drop(h);
+                drop(xv);
+                let fresh = crate::pool::stats().allocs_since(&before);
+                let fresh_nodes = crate::autograd::arena_stats().allocs_since(&nodes_before);
+                if armed && i >= WARMUP {
+                    let tag = format!("sparse steady step {}", i - WARMUP);
+                    assert_eq!(fresh, 0, "{tag}: {fresh} fresh allocations in steady state");
+                    assert_eq!(
+                        fresh_nodes, 0,
+                        "{tag}: {fresh_nodes} fresh graph nodes in steady state"
+                    );
+                }
             }
         };
-        // Warm-up must cycle through every batch shape (and settle the
-        // arena's one-step-deferred value release) before the counters are
-        // armed; two full cycles cover both.
-        for cycle in 0..2 {
-            for batch in &batches {
-                step(batch, false, &format!("warmup cycle {cycle}"));
-            }
-        }
-        for i in 0..4 {
-            let batch = &batches[i % batches.len()];
-            step(batch, true, &format!("sparse steady step {i}"));
-        }
+        let (rehearsal_moe, rehearsal_head) = replica();
+        train(&rehearsal_moe, &rehearsal_head, false);
+        drop((rehearsal_moe, rehearsal_head));
+        crate::autograd::arena_clear();
+        train(&moe, &head, true);
     }
 
     #[test]
@@ -873,6 +954,154 @@ mod tests {
         assert_eq!(loss_a.to_bits(), loss_b.to_bits(), "loss diverged");
         for (i, (a, b)) in grads_a.iter().zip(&grads_b).enumerate() {
             assert_eq!(a, b, "gradient {i} diverged between original and replica");
+        }
+    }
+
+    /// The dense-masked MoE forward the gathered dispatch replaced, kept as
+    /// the test oracle: every active expert runs on *all* tokens, its output
+    /// is multiplied by its router-weight column — zero on unrouted rows,
+    /// extracted through an `[E, 1]` one-hot selector matmul — and the
+    /// contributions are summed.
+    fn dense_masked_forward(moe: &MoeLayer, x: &Var, fused: bool) -> Var {
+        let layer = |l: &Linear, x: &Var, act: Activation| {
+            if fused {
+                l.forward_act(x, act).unwrap()
+            } else {
+                l.forward_naive(x, act).unwrap()
+            }
+        };
+        let logits = layer(&moe.gate, x, Activation::Identity);
+        let lv = logits.value();
+        let (tokens, e) = lv.shape().as_matrix().unwrap();
+        let mut masks = vec![vec![false; e]; tokens];
+        let mut counts = vec![0usize; e];
+        for (t, mask) in masks.iter_mut().enumerate() {
+            for (idx, _) in ops::topk(lv.row(t), moe.top_k) {
+                mask[idx] = true;
+                counts[idx] += 1;
+            }
+        }
+        let weights = logits.masked_softmax_rows(&masks).unwrap();
+        let mut out: Option<Var> = None;
+        for (ei, expert) in moe.experts.iter().enumerate() {
+            if counts[ei] == 0 {
+                continue;
+            }
+            let mut selector = Tensor::zeros([e, 1]);
+            selector.set2(ei, 0, 1.0);
+            let col = weights.matmul(&Var::constant(selector)).unwrap();
+            let y = match expert.kind {
+                ExpertKind::GeluFfn => {
+                    let h = layer(&expert.w1, x, Activation::Gelu);
+                    layer(&expert.w2, &h, Activation::Identity)
+                }
+                ExpertKind::SwiGlu => {
+                    let gate = layer(&expert.w1, x, Activation::Silu);
+                    let up = layer(expert.w3.as_ref().unwrap(), x, Activation::Identity);
+                    layer(&expert.w2, &gate.mul(&up).unwrap(), Activation::Identity)
+                }
+            };
+            let contribution = y.mul_col(&col).unwrap();
+            out = Some(match out {
+                Some(acc) => acc.add(&contribution).unwrap(),
+                None => contribution,
+            });
+        }
+        out.unwrap()
+    }
+
+    /// Runs the gathered forward and the dense-masked oracle on identical
+    /// copies of one layer and input; returns the first bitwise difference
+    /// in the output, the input gradient or any parameter gradient.
+    fn gathered_vs_dense_masked(
+        kind: ExpertKind,
+        tokens: usize,
+        experts: usize,
+        top_k: usize,
+        fused: bool,
+        seed: u64,
+    ) -> Result<RoutingStats, String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (hidden, inner) = (3, 5);
+        let moe = MoeLayer::new(kind, hidden, inner, experts, top_k, &mut rng).unwrap();
+        let xt = Tensor::rand_uniform([tokens, hidden], 1.0, &mut rng);
+        // A random upstream weighting so every output element carries a
+        // distinct gradient.
+        let mix = Tensor::rand_uniform([tokens, hidden], 1.0, &mut rng);
+        let snapshot: Vec<Tensor> = moe.parameters().iter().map(Var::value).collect();
+        let oracle =
+            MoeLayer::from_parameters(kind, experts, top_k, &mut snapshot.into_iter()).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+
+        let x1 = Var::parameter(xt.clone());
+        let (y1, stats) = moe.forward_with(&x1, fused).unwrap();
+        y1.mul(&Var::constant(mix.clone()))
+            .unwrap()
+            .sum()
+            .backward();
+        let x2 = Var::parameter(xt);
+        let y2 = dense_masked_forward(&oracle, &x2, fused);
+        y2.mul(&Var::constant(mix)).unwrap().sum().backward();
+
+        if bits(&y1.value()) != bits(&y2.value()) {
+            return Err("outputs differ".into());
+        }
+        if bits(&x1.grad().unwrap()) != bits(&x2.grad().unwrap()) {
+            return Err("input gradients differ".into());
+        }
+        for (i, (a, b)) in moe.parameters().iter().zip(oracle.parameters()).enumerate() {
+            match (a.grad(), b.grad()) {
+                (None, None) => {}
+                (Some(ga), Some(gb)) if bits(&ga) == bits(&gb) => {}
+                (ga, gb) => {
+                    return Err(format!("parameter {i} gradient differs: {ga:?} vs {gb:?}"))
+                }
+            }
+        }
+        Ok(stats)
+    }
+
+    proptest::proptest! {
+        /// Token-gathered dispatch is bit-identical to the dense-masked loop
+        /// it replaced — output, input gradient and every parameter
+        /// gradient — across token counts, expert counts, every top-k, both
+        /// expert kinds and both kernel paths.
+        #[test]
+        fn prop_gathered_dispatch_bit_identical_to_dense_masked(
+            tokens in 1usize..40,
+            experts in 1usize..=8,
+            k_pick in 0usize..64,
+            kind_pick in 0usize..2,
+            fused_pick in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let kind = [ExpertKind::GeluFfn, ExpertKind::SwiGlu][kind_pick];
+            let fused = fused_pick == 1;
+            let top_k = 1 + k_pick % experts;
+            let outcome = gathered_vs_dense_masked(kind, tokens, experts, top_k, fused, seed);
+            proptest::prop_assert!(
+                outcome.is_ok(),
+                "{kind:?} tokens={tokens} experts={experts} top_k={top_k} fused={fused}: {:?}",
+                outcome.err()
+            );
+        }
+    }
+
+    #[test]
+    fn gathered_dispatch_matches_dense_masked_at_the_edges() {
+        for kind in [ExpertKind::GeluFfn, ExpertKind::SwiGlu] {
+            for fused in [true, false] {
+                // One token, top-1 of 4: three experts receive no token and
+                // must get no gradient on either path.
+                let stats = gathered_vs_dense_masked(kind, 1, 4, 1, fused, 9).unwrap();
+                assert_eq!(
+                    stats.tokens_per_expert.iter().filter(|&&c| c == 0).count(),
+                    3
+                );
+                // top_k = E: every row is routed to every expert.
+                let stats = gathered_vs_dense_masked(kind, 13, 5, 5, fused, 10).unwrap();
+                assert!(stats.tokens_per_expert.iter().all(|&c| c == 13));
+            }
         }
     }
 
