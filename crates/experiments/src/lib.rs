@@ -66,7 +66,7 @@ pub fn experiment_ids() -> Vec<&'static str> {
 /// measure the simulator itself (wall-clock timings), not the paper, so
 /// they would make the default artifact set nondeterministic.
 pub fn extra_experiment_ids() -> Vec<&'static str> {
-    vec!["bench_engine", "bench_tensor", "profile"]
+    vec!["profile"]
 }
 
 /// Key under which an experiment's JSON may carry extra named artifacts
@@ -102,8 +102,6 @@ pub fn run(id: &str) -> ExperimentResult {
         "scaleout" => scaleout(),
         "cluster" => cluster(),
         "alltoall" => alltoall(),
-        "bench_engine" => bench_engine(),
-        "bench_tensor" => bench_tensor(),
         "profile" => profile(),
         other => panic!("unknown experiment id {other:?}"),
     }
@@ -1294,648 +1292,6 @@ fn alltoall() -> ExperimentResult {
     }
 }
 
-// ------------------------------------------------- Performance engine bench
-
-/// Benchmarks the simulator itself on a Fig. 8-style sweep: serial naive
-/// emission vs. serial memoized traces vs. the multi-threaded engine.
-/// Excluded from `repro all` because its output is wall-clock timings.
-fn bench_engine() -> ExperimentResult {
-    use std::time::Instant;
-
-    let sim = sim_for(&models::mixtral_8x7b(), true, GpuSpec::a40());
-    let seq = 79;
-    let batches: Vec<usize> = (1..=16).collect();
-    let threads = ftsim_sim::thread_count();
-
-    // Serial, naive per-layer emission (no trace cache).
-    let t = Instant::now();
-    let naive: Vec<f64> = batches
-        .iter()
-        .map(|&b| sim.simulate_step_naive(b, seq).total_seconds())
-        .collect();
-    let naive_s = t.elapsed().as_secs_f64();
-
-    // Serial, memoized layer traces (fresh cache via clone).
-    let memo_sim = sim.clone();
-    let t = Instant::now();
-    let memo: Vec<f64> = batches
-        .iter()
-        .map(|&b| memo_sim.simulate_step(b, seq).total_seconds())
-        .collect();
-    let memo_s = t.elapsed().as_secs_f64();
-    let stats = memo_sim.cache_stats();
-
-    // Memoized + fanned across the engine's worker threads.
-    let par_sim = sim.clone();
-    let t = Instant::now();
-    let par: Vec<f64> =
-        ftsim_sim::parallel_map(&batches, |&b| par_sim.simulate_step(b, seq).total_seconds());
-    let par_s = t.elapsed().as_secs_f64();
-
-    let identical = naive
-        .iter()
-        .zip(&memo)
-        .all(|(a, b)| a.to_bits() == b.to_bits())
-        && naive
-            .iter()
-            .zip(&par)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(
-        identical,
-        "memoized/parallel results diverged from naive emission"
-    );
-
-    let probe = sim.simulate_step(8, seq);
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "sweep: Mixtral-S/CS on A40, {} steps (bs 1..={}), seq {seq}, {threads} thread(s)",
-        batches.len(),
-        batches.len()
-    );
-    let _ = writeln!(
-        text,
-        "kernels per step (bs8): {} emitted from {} unique ({:.0}x run-length compression)",
-        probe.kernel_count(),
-        probe.unique_kernel_count(),
-        probe.kernel_count() as f64 / probe.unique_kernel_count() as f64
-    );
-    let _ = writeln!(text, "serial naive      {:>9.2} ms", naive_s * 1e3);
-    let _ = writeln!(
-        text,
-        "serial memoized   {:>9.2} ms  ({:.1}x vs naive)",
-        memo_s * 1e3,
-        naive_s / memo_s
-    );
-    let _ = writeln!(
-        text,
-        "parallel memoized {:>9.2} ms  ({:.1}x vs naive, {threads} threads)",
-        par_s * 1e3,
-        naive_s / par_s
-    );
-    let _ = writeln!(
-        text,
-        "trace cache: {} entries, {} misses, {} hits; all variants bit-identical",
-        stats.entries, stats.misses, stats.hits
-    );
-
-    ExperimentResult {
-        id: "bench_engine",
-        title: "Engine benchmark: memoized traces + multi-threaded sweep",
-        text,
-        json: json!({
-            "sweep": json!({ "label": "Mixtral-S/CS", "gpu": "A40", "seq_len": seq, "steps": batches.len() }),
-            "threads": threads,
-            "kernels_per_step_bs8": json!({
-                "emitted": probe.kernel_count(),
-                "unique": probe.unique_kernel_count(),
-            }),
-            "wall_seconds": json!({
-                "serial_naive": naive_s,
-                "serial_memoized": memo_s,
-                "parallel_memoized": par_s,
-            }),
-            "speedup_vs_serial_naive": json!({
-                "serial_memoized": naive_s / memo_s,
-                "parallel_memoized": naive_s / par_s,
-            }),
-            "trace_cache": json!({
-                "entries": stats.entries,
-                "misses": stats.misses,
-                "hits": stats.hits,
-            }),
-            "bit_identical": identical,
-        }),
-    }
-}
-
-// -------------------------------------------------- Tensor runtime bench
-
-/// Benchmarks the tensor runtime on repeated training steps of a small MoE
-/// classifier: the retained naive op path with buffer pooling disabled
-/// (serial-naive) vs. the fused matmul+bias+activation kernels backed by the
-/// thread-local buffer pool and reusable autograd tape (pooled-fused). The
-/// two paths are bit-identical in losses — only wall-clock and allocation
-/// behavior differ — and the pool's fresh-allocation counter proves the
-/// steady state allocates no tensor storage after the warm-up step.
-/// Excluded from `repro all` because its output is wall-clock timings.
-fn bench_tensor() -> ExperimentResult {
-    /// Signature shared by the three matmul kernels under benchmark:
-    /// `(lhs, rhs, out, m, k, n)`.
-    type MatmulKernel<'a> = &'a dyn Fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-    use ftsim_tensor::nn::{AdamW, ExpertKind, Linear, MoeLayer};
-    use ftsim_tensor::{autograd, ops, parallel, pool, Activation, Tensor, Var};
-    use rand::Rng;
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    // Dense routing (top_k == experts) keeps the per-step op structure
-    // identical step after step, which makes zero steady-state allocation a
-    // provable property of the pool rather than a statistical one.
-    let (hidden, ffn, experts, classes, batch, steps) = (32, 64, 8, 8, 64, 30);
-
-    let mut rng = StdRng::seed_from_u64(4242);
-    let bx = Tensor::rand_normal([batch, hidden], 1.0, &mut rng);
-    let by: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..classes)).collect();
-
-    // One full training step on the fixed batch; returns its loss.
-    let step = |moe: &MoeLayer, head: &Linear, opt: &mut AdamW, params: &[Var], fused: bool| {
-        let x = Var::constant(bx.clone());
-        let (mixed, _) = moe.forward_with(&x, fused).expect("moe forward");
-        let logits = if fused {
-            head.forward_act(&mixed, Activation::Identity)
-        } else {
-            head.forward_naive(&mixed, Activation::Identity)
-        }
-        .expect("head projection");
-        let loss = logits.cross_entropy(&by).expect("labels in range");
-        let out = loss.with_value(Tensor::item);
-        loss.backward();
-        opt.step(params);
-        out
-    };
-
-    // Trains a freshly-seeded model for `steps` steps, recording per-step
-    // loss, wall-clock, pool fresh-allocation count, and autograd-node
-    // fresh-allocation count. The node arena rides the same switch as the
-    // pool: the "naive" baseline allocates every graph node, the pooled
-    // configuration recycles them through the thread-local arena.
-    let run = |fused: bool, pooled: bool| {
-        pool::set_enabled(pooled);
-        pool::clear();
-        autograd::set_arena_enabled(pooled);
-        autograd::arena_clear();
-        let mut rng = StdRng::seed_from_u64(7);
-        let moe = MoeLayer::new(ExpertKind::SwiGlu, hidden, ffn, experts, experts, &mut rng)
-            .expect("valid MoE configuration");
-        let head = Linear::new(hidden, classes, &mut rng);
-        let mut params = moe.parameters();
-        params.extend(head.parameters());
-        let mut opt = AdamW::new(1e-2, params.len());
-        let mut losses = Vec::with_capacity(steps);
-        let mut seconds = Vec::with_capacity(steps);
-        let mut allocs = Vec::with_capacity(steps);
-        let mut node_allocs = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let before = pool::stats();
-            let nodes_before = autograd::arena_stats();
-            let t = Instant::now();
-            losses.push(step(&moe, &head, &mut opt, &params, fused));
-            seconds.push(t.elapsed().as_secs_f64());
-            allocs.push(pool::stats().allocs_since(&before));
-            node_allocs.push(autograd::arena_stats().allocs_since(&nodes_before));
-        }
-        pool::set_enabled(true);
-        autograd::set_arena_enabled(true);
-        (losses, seconds, allocs, node_allocs)
-    };
-
-    fn median(xs: &[f64]) -> f64 {
-        let mut v = xs.to_vec();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    }
-
-    let (naive_loss, naive_s, naive_allocs, naive_nodes) = run(false, false);
-    let (fused_loss, fused_s, fused_allocs, fused_nodes) = run(true, true);
-    let resident = pool::resident();
-    let nodes_resident = autograd::arena_resident();
-    pool::clear();
-    autograd::arena_clear();
-
-    let identical = naive_loss
-        .iter()
-        .zip(&fused_loss)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(identical, "pooled-fused losses diverged from serial-naive");
-    // Two warm-up steps: the first fills the pool shelves and node arena,
-    // the second settles the arena's one-step-deferred value release
-    // (a reclaimed node keeps its value tensor until it is reused).
-    let steady_allocs: u64 = fused_allocs[2..].iter().sum();
-    assert_eq!(
-        steady_allocs, 0,
-        "pool allocated in steady state: {fused_allocs:?}"
-    );
-    let steady_nodes: u64 = fused_nodes[2..].iter().sum();
-    assert_eq!(
-        steady_nodes, 0,
-        "graph nodes allocated in steady state: {fused_nodes:?}"
-    );
-
-    // Exclude the warm-up steps from the timing comparison: they pay the
-    // one-time pool fill that later steps are measured without.
-    let naive_step = median(&naive_s[2..]);
-    let fused_step = median(&fused_s[2..]);
-
-    // Kernel-level microbenchmark: the fusion and pooling win measured on
-    // the kernels alone, undiluted by the routing/autograd bookkeeping that
-    // the end-to-end step shares between both paths.
-    let (km, kk, kn, iters) = (256, 64, 256, 60);
-    let mut rng = StdRng::seed_from_u64(11);
-    let kx = Tensor::rand_normal([km, kk], 1.0, &mut rng);
-    let kw = Tensor::rand_normal([kk, kn], 0.5, &mut rng);
-    let kb = Tensor::rand_normal([1, kn], 0.5, &mut rng);
-    let logits = Tensor::rand_normal([2048, 64], 1.0, &mut rng);
-
-    // Composed reference: matmul, then the set2/get2 row-bias loop and the
-    // map pass exactly as the retained naive ops perform them, every output
-    // freshly allocated (pool disabled).
-    let composed_linear = |x: &Tensor, w: &Tensor, b: &Tensor| {
-        let y = x.matmul(w).expect("conforming shapes");
-        let mut biased = Tensor::zeros(y.shape().clone());
-        for r in 0..km {
-            for c in 0..kn {
-                biased.set2(r, c, y.get2(r, c) + b.get2(0, c));
-            }
-        }
-        biased.map(|v| Activation::Silu.apply(v))
-    };
-
-    pool::set_enabled(false);
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(composed_linear(&kx, &kw, &kb));
-    }
-    let naive_linear = t.elapsed().as_secs_f64() / f64::from(iters);
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(ops::softmax_rows_naive(&logits).expect("matrix"));
-    }
-    let naive_softmax = t.elapsed().as_secs_f64() / f64::from(iters);
-
-    pool::set_enabled(true);
-    let fused_once = ops::matmul_bias_act(&kx, &kw, Some(&kb), Activation::Silu).expect("shapes");
-    let kernels_identical = fused_once.data() == composed_linear(&kx, &kw, &kb).data();
-    assert!(kernels_identical, "fused kernel diverged from composed ops");
-    drop(fused_once);
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(ops::matmul_bias_act(&kx, &kw, Some(&kb), Activation::Silu).expect("shapes"));
-    }
-    let fused_linear = t.elapsed().as_secs_f64() / f64::from(iters);
-    drop(black_box(ops::softmax_rows(&logits).expect("matrix")));
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(ops::softmax_rows(&logits).expect("matrix"));
-    }
-    let fused_softmax = t.elapsed().as_secs_f64() / f64::from(iters);
-    pool::clear();
-
-    // Matmul kernel family on identical raw buffers, serial: the naive
-    // i-j-p oracle, the previous cache-blocked kernel, and the
-    // register-tiled microkernel now behind `Tensor::matmul`. Median of
-    // several interleaved samples so frequency drift hits all three alike.
-    let mut mm_out = vec![0.0f32; km * kn];
-    let mut mm_samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let kernels: [MatmulKernel; 3] = [
-        &parallel::matmul_naive_into,
-        &parallel::matmul_blocked_into,
-        &parallel::matmul_microkernel_into,
-    ];
-    for _ in 0..2 {
-        for f in &kernels {
-            mm_out.fill(0.0);
-            f(kx.data(), kw.data(), &mut mm_out, km, kk, kn);
-        }
-    }
-    for _ in 0..5 {
-        for (f, samples) in kernels.iter().zip(&mut mm_samples) {
-            let t = Instant::now();
-            for _ in 0..iters {
-                mm_out.fill(0.0);
-                f(kx.data(), kw.data(), &mut mm_out, km, kk, kn);
-                black_box(mm_out[0]);
-            }
-            samples.push(t.elapsed().as_secs_f64() / f64::from(iters));
-        }
-    }
-    let mm_naive = median(&mm_samples[0]);
-    let mm_blocked = median(&mm_samples[1]);
-    let mm_micro = median(&mm_samples[2]);
-
-    // Scalar-forced vs SIMD-forced microkernel at the same shape. On a host
-    // without AVX2 the forced-SIMD mode downgrades to scalar, so the
-    // speedup honestly reads ~1.0 there; the JSON host block records which
-    // case this run measured. Bit-equality is asserted before timing —
-    // the AVX2 bodies round identically to scalar by construction.
-    use ftsim_tensor::simd;
-    let mut mm_scalar_out = vec![0.0f32; km * kn];
-    simd::force(Some(false));
-    parallel::matmul_microkernel_into(kx.data(), kw.data(), &mut mm_scalar_out, km, kk, kn);
-    simd::force(Some(true));
-    mm_out.fill(0.0);
-    parallel::matmul_microkernel_into(kx.data(), kw.data(), &mut mm_out, km, kk, kn);
-    assert_eq!(
-        mm_scalar_out, mm_out,
-        "SIMD microkernel diverged from scalar"
-    );
-    let mut dispatch_samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for _ in 0..5 {
-        for (forced, samples) in [false, true].into_iter().zip(&mut dispatch_samples) {
-            simd::force(Some(forced));
-            let t = Instant::now();
-            for _ in 0..iters {
-                mm_out.fill(0.0);
-                parallel::matmul_microkernel_into(kx.data(), kw.data(), &mut mm_out, km, kk, kn);
-                black_box(mm_out[0]);
-            }
-            samples.push(t.elapsed().as_secs_f64() / f64::from(iters));
-        }
-    }
-    simd::force(None);
-    let mm_forced_scalar = median(&dispatch_samples[0]);
-    let mm_forced_simd = median(&dispatch_samples[1]);
-
-    // Data-parallel step scaling: one short end-to-end training run per
-    // worker count. The microbatch grid fixes the reduction order, so every
-    // row of this table is the same bit-exact run — only wall-clock moves.
-    // On a single-core host the curve is honestly flat.
-    let mut scale_cfg = ftsim_sim::MoeTrainConfig::mixtral_like(2);
-    scale_cfg.epochs = 1;
-    scale_cfg.train_examples = 64;
-    scale_cfg.eval_examples = 32;
-    scale_cfg.batch = 32;
-    scale_cfg.microbatch = 8;
-    let scale_task = ftsim_workload::task::SyntheticTask::commonsense(16, 4, 4242);
-    let mut step_scaling: Vec<(usize, f64)> = Vec::new();
-    let mut scale_reference: Option<ftsim_sim::MoeTrainOutcome> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let t = Instant::now();
-        let out = ftsim_sim::moetrain::train_with_options(
-            &scale_task,
-            &scale_cfg,
-            "bench",
-            true,
-            threads,
-        );
-        step_scaling.push((threads, t.elapsed().as_secs_f64()));
-        match &scale_reference {
-            None => scale_reference = Some(out),
-            Some(r) => assert_eq!(*r, out, "training diverged at {threads} threads"),
-        }
-    }
-
-    // Fused backward epilogue vs the composed chain at the training hot-loop
-    // shape: one `linear_act` forward + backward per call, gradients for
-    // weight and bias. Both run pooled with the arena on, so the measured
-    // difference is the backward algorithm (streaming epilogue, no `dpre`
-    // materialization) and the two saved graph nodes, not the allocator.
-    let (bm, bk, bn, biters) = (batch, hidden, ffn, 200u32);
-    let mut rng = StdRng::seed_from_u64(17);
-    let bwx = Tensor::rand_normal([bm, bk], 1.0, &mut rng);
-    let bww = Tensor::rand_normal([bk, bn], 0.5, &mut rng);
-    let bwb = Tensor::rand_normal([1, bn], 0.5, &mut rng);
-    let backward_pass = |fused: bool| {
-        let x = Var::constant(bwx.clone());
-        let w = Var::parameter(bww.clone());
-        let b = Var::parameter(bwb.clone());
-        let out = if fused {
-            x.linear_act(&w, &b, Activation::Silu).expect("shapes")
-        } else {
-            x.matmul(&w)
-                .expect("shapes")
-                .add_row(&b)
-                .expect("shapes")
-                .activate(Activation::Silu)
-        };
-        let loss = out.mean();
-        loss.backward();
-        loss.with_value(Tensor::item)
-    };
-    for _ in 0..10 {
-        let fused_out = backward_pass(true);
-        let composed_out = backward_pass(false);
-        assert_eq!(
-            fused_out.to_bits(),
-            composed_out.to_bits(),
-            "fused backward loss diverged from composed chain"
-        );
-    }
-    let time_backward = |fused: bool| {
-        let t = Instant::now();
-        for _ in 0..biters {
-            black_box(backward_pass(fused));
-        }
-        t.elapsed().as_secs_f64() / f64::from(biters)
-    };
-    let mut bw_fused_samples = Vec::new();
-    let mut bw_composed_samples = Vec::new();
-    for _ in 0..5 {
-        bw_fused_samples.push(time_backward(true));
-        bw_composed_samples.push(time_backward(false));
-    }
-    let bw_fused = median(&bw_fused_samples);
-    let bw_composed = median(&bw_composed_samples);
-    pool::clear();
-    autograd::arena_clear();
-
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "model: SwiGLU MoE, {experts} experts (dense routing), hidden {hidden}, ffn {ffn}; batch {batch}, {steps} steps"
-    );
-    let _ = writeln!(
-        text,
-        "serial naive  {:>9.3} ms/step  (pool disabled, per-op kernels)",
-        naive_step * 1e3
-    );
-    let _ = writeln!(
-        text,
-        "pooled fused  {:>9.3} ms/step  ({:.2}x vs naive)",
-        fused_step * 1e3,
-        naive_step / fused_step
-    );
-    let _ = writeln!(
-        text,
-        "pool fresh allocs per step (fused): warmup = {} + {}, steps 3..{steps} = {} total",
-        fused_allocs[0], fused_allocs[1], steady_allocs
-    );
-    let _ = writeln!(
-        text,
-        "graph-node fresh allocs per step (fused): warmup = {} + {}, steps 3..{steps} = {} total",
-        fused_nodes[0], fused_nodes[1], steady_nodes
-    );
-    let _ = writeln!(
-        text,
-        "pool resident buffers after run: {resident}; arena resident nodes: {nodes_resident}; losses bit-identical across paths"
-    );
-    let _ = writeln!(
-        text,
-        "matmul kernels ({km}x{kk}x{kn}, serial, {iters} iters x 5 samples):"
-    );
-    let _ = writeln!(
-        text,
-        "  naive {:>8.3} ms  blocked {:>8.3} ms  microkernel {:>8.3} ms  ({:.2}x vs blocked, {:.2}x vs naive)",
-        mm_naive * 1e3,
-        mm_blocked * 1e3,
-        mm_micro * 1e3,
-        mm_blocked / mm_micro,
-        mm_naive / mm_micro
-    );
-    let _ = writeln!(
-        text,
-        "  forced scalar {:>8.3} ms  forced simd {:>8.3} ms  ({:.2}x, host avx2+fma: {})",
-        mm_forced_scalar * 1e3,
-        mm_forced_simd * 1e3,
-        mm_forced_scalar / mm_forced_simd,
-        simd::host_supported()
-    );
-    let _ = writeln!(
-        text,
-        "data-parallel step scaling (batch {}, microbatch {}, bit-identical at every width):",
-        scale_cfg.batch, scale_cfg.microbatch
-    );
-    for (threads, secs) in &step_scaling {
-        let _ = writeln!(
-            text,
-            "  {threads} thread(s) {:>9.3} ms/run  ({:.2}x vs 1 thread)",
-            secs * 1e3,
-            step_scaling[0].1 / secs
-        );
-    }
-    let _ = writeln!(
-        text,
-        "linear_act forward+backward ({bm}x{bk}x{bn}, silu, {biters} iters x 5 samples):"
-    );
-    let _ = writeln!(
-        text,
-        "  fused epilogue {:>8.3} ms  composed chain {:>8.3} ms  ({:.2}x)",
-        bw_fused * 1e3,
-        bw_composed * 1e3,
-        bw_composed / bw_fused
-    );
-    let _ = writeln!(
-        text,
-        "kernel microbench ({km}x{kk}x{kn} linear, 2048x64 softmax, {iters} iters):"
-    );
-    let _ = writeln!(
-        text,
-        "  linear   naive {:>8.3} ms  fused {:>8.3} ms  ({:.2}x)",
-        naive_linear * 1e3,
-        fused_linear * 1e3,
-        naive_linear / fused_linear
-    );
-    let _ = writeln!(
-        text,
-        "  softmax  naive {:>8.3} ms  fused {:>8.3} ms  ({:.2}x)",
-        naive_softmax * 1e3,
-        fused_softmax * 1e3,
-        naive_softmax / fused_softmax
-    );
-
-    ExperimentResult {
-        id: "bench_tensor",
-        title: "Tensor runtime benchmark: microkernel matmul + fused kernels + pool/arena",
-        text,
-        json: json!({
-            "config": json!({
-                "expert_kind": "swiglu", "hidden": hidden, "ffn": ffn,
-                "experts": experts, "top_k": experts, "classes": classes,
-                "batch": batch, "steps": steps,
-            }),
-            "median_step_seconds": json!({
-                "serial_naive": naive_step,
-                "pooled_fused": fused_step,
-            }),
-            "speedup_pooled_fused_vs_naive": naive_step / fused_step,
-            "per_step_seconds": json!({
-                "serial_naive": naive_s,
-                "pooled_fused": fused_s,
-            }),
-            "pool_fresh_allocs_per_step": json!({
-                "serial_naive": naive_allocs,
-                "pooled_fused": fused_allocs,
-            }),
-            "node_fresh_allocs_per_step": json!({
-                "serial_naive": naive_nodes,
-                "pooled_fused": fused_nodes,
-            }),
-            "steady_state_fresh_allocs": steady_allocs,
-            "steady_state_fresh_nodes": steady_nodes,
-            "resident_buffers_after_run": resident,
-            "resident_arena_nodes_after_run": nodes_resident,
-            "bit_identical_losses": identical,
-            "losses": fused_loss,
-            "matmul_kernels": json!({
-                "shape": json!({ "m": km, "k": kk, "n": kn }),
-                "iters": iters,
-                "samples": 5,
-                "seconds_per_call": json!({
-                    "naive": mm_naive,
-                    "blocked": mm_blocked,
-                    "microkernel": mm_micro,
-                }),
-                "speedup": json!({
-                    "microkernel_vs_blocked": mm_blocked / mm_micro,
-                    "microkernel_vs_naive": mm_naive / mm_micro,
-                }),
-            }),
-            "simd_dispatch": json!({
-                "shape": json!({ "m": km, "k": kk, "n": kn }),
-                "iters": iters,
-                "samples": 5,
-                "seconds_per_call": json!({
-                    "forced_scalar": mm_forced_scalar,
-                    "forced_simd": mm_forced_simd,
-                }),
-                "speedup_simd_vs_scalar": mm_forced_scalar / mm_forced_simd,
-                "bit_identical": true,
-            }),
-            "step_scaling": json!({
-                "config": json!({
-                    "batch": scale_cfg.batch,
-                    "microbatch": scale_cfg.microbatch,
-                    "epochs": scale_cfg.epochs,
-                    "train_examples": scale_cfg.train_examples,
-                }),
-                "seconds_per_run": Value::Object(
-                    step_scaling
-                        .iter()
-                        .map(|(t, s)| (format!("threads_{t}"), json!(s)))
-                        .collect(),
-                ),
-                "bit_identical_across_widths": true,
-            }),
-            "host": json!({
-                "simd_host_supported": simd::host_supported(),
-                "simd_active": simd::active(),
-                "no_simd_env": std::env::var(simd::NO_SIMD_ENV).ok(),
-                "threads_env": std::env::var("FTSIM_THREADS").ok(),
-                "thread_count": ftsim_sim::thread_count(),
-                "available_parallelism": std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1),
-            }),
-            "fused_backward": json!({
-                "shape": json!({ "m": bm, "k": bk, "n": bn }),
-                "iters": biters,
-                "samples": 5,
-                "seconds_per_call": json!({
-                    "fused_epilogue": bw_fused,
-                    "composed_chain": bw_composed,
-                }),
-                "speedup_fused_vs_composed": bw_composed / bw_fused,
-            }),
-            "kernel_microbench": json!({
-                "linear_shape": json!({ "m": km, "k": kk, "n": kn }),
-                "softmax_shape": json!({ "rows": 2048, "cols": 64 }),
-                "iters": iters,
-                "seconds_per_call": json!({
-                    "linear_naive": naive_linear,
-                    "linear_fused": fused_linear,
-                    "softmax_naive": naive_softmax,
-                    "softmax_fused": fused_softmax,
-                }),
-                "speedup": json!({
-                    "linear_fused": naive_linear / fused_linear,
-                    "softmax_fused": naive_softmax / fused_softmax,
-                }),
-                "bit_identical": kernels_identical,
-            }),
-        }),
-    }
-}
-
 // ----------------------------------------------------------------- Profile
 
 /// Renders a [`Breakdown`] as `{key: {seconds, pct}}`.
@@ -2313,33 +1669,6 @@ mod tests {
         }
         // Dense routing moves 4x the bytes of top-2.
         assert!(pct("dense", "PCIe4x16", 8) > pct("top-2", "PCIe4x16", 8));
-    }
-
-    #[test]
-    fn bench_engine_runs_and_results_stay_identical() {
-        // Also asserts internally that naive/memoized/parallel agree bit-for-bit.
-        let r = run("bench_engine");
-        assert_eq!(r.id, "bench_engine");
-        assert!(r.text.contains("bit-identical"), "{}", r.text);
-        assert!(!experiment_ids().contains(&"bench_engine"));
-        assert!(extra_experiment_ids().contains(&"bench_engine"));
-    }
-
-    #[test]
-    fn bench_tensor_runs_zero_alloc_and_bit_identical() {
-        // Asserts internally that pooled-fused losses match serial-naive
-        // bit-for-bit and that steady-state steps allocate nothing.
-        let r = run("bench_tensor");
-        assert_eq!(r.id, "bench_tensor");
-        assert!(r.text.contains("bit-identical"), "{}", r.text);
-        assert_eq!(
-            r.json
-                .get("steady_state_fresh_allocs")
-                .map(Value::to_string),
-            Some("0".to_string())
-        );
-        assert!(!experiment_ids().contains(&"bench_tensor"));
-        assert!(extra_experiment_ids().contains(&"bench_tensor"));
     }
 
     #[test]

@@ -264,6 +264,11 @@ pub struct Server {
 impl Server {
     /// Binds and starts serving in background threads. Returns once the
     /// listener is live (so clients may connect immediately).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address cannot be bound or the accept thread cannot be
+    /// spawned.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -271,8 +276,7 @@ impl Server {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("serve-accept".to_string())
-            .spawn(move || accept_loop(listener, accept_shared))
-            .expect("spawn accept thread");
+            .spawn(move || accept_loop(listener, accept_shared))?;
         Ok(Server {
             addr,
             shared,
@@ -318,20 +322,23 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         shared.connections.add(1);
         let conn_shared = Arc::clone(&shared);
         let addr = listener.local_addr().ok();
-        conns.push(
-            std::thread::Builder::new()
-                .name("serve-conn".to_string())
-                .spawn(move || {
-                    if connection_loop(stream, &conn_shared) {
-                        // This connection delivered the shutdown request:
-                        // wake the accept loop so it can exit.
-                        if let Some(addr) = addr {
-                            let _ = TcpStream::connect(addr);
-                        }
+        let spawned = std::thread::Builder::new()
+            .name("serve-conn".to_string())
+            .spawn(move || {
+                if connection_loop(stream, &conn_shared) {
+                    // This connection delivered the shutdown request:
+                    // wake the accept loop so it can exit.
+                    if let Some(addr) = addr {
+                        let _ = TcpStream::connect(addr);
                     }
-                })
-                .expect("spawn connection thread"),
-        );
+                }
+            });
+        // A failed spawn (EAGAIN under a thread or memory limit) drops the
+        // closure and with it the stream: that one client sees a closed
+        // connection, and the server keeps accepting the next.
+        if let Ok(handle) = spawned {
+            conns.push(handle);
+        }
         conns.retain(|h| !h.is_finished());
     }
     for handle in conns {
@@ -521,5 +528,40 @@ mod tests {
         assert!(bye[0].contains(r#""query":"shutdown""#));
         server.wait(); // returns because the wire request stopped the server
         server.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn start_returns_bind_errors_instead_of_panicking() {
+        let mut server = start();
+        let taken = server.local_addr().to_string();
+        let err = Server::start(ServeConfig {
+            addr: taken,
+            ..ServeConfig::default()
+        })
+        .err()
+        .expect("binding an address already in use must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+        // The first server is unaffected and still answers.
+        let answers = roundtrip(server.local_addr(), &[r#"{"query":"plan"}"#]);
+        assert!(answers[0].contains(r#""ok":true"#));
+        server.shutdown();
+    }
+
+    #[test]
+    fn keeps_accepting_after_clients_drop_their_connections() {
+        let mut server = start();
+        let addr = server.local_addr();
+        // A client that connects and leaves without a byte, and one that
+        // leaves halfway through a line: each ends only its own
+        // connection thread.
+        drop(TcpStream::connect(addr).unwrap());
+        let mut partial = TcpStream::connect(addr).unwrap();
+        partial.write_all(br#"{"query":"pl"#).unwrap();
+        drop(partial);
+        for _ in 0..3 {
+            let answers = roundtrip(addr, &[r#"{"query":"plan"}"#]);
+            assert!(answers[0].contains(r#""ok":true"#), "{}", answers[0]);
+        }
+        server.shutdown();
     }
 }

@@ -154,6 +154,41 @@ mod tests {
     }
 
     #[test]
+    fn threads_filling_one_cold_trace_cache_match_naive_emission() {
+        // Eight workers share one simulator whose layer-trace cache starts
+        // empty, and the sweep visits every shape twice, so workers fill
+        // the cache and read each other's entries. Every step must still
+        // equal the serial naive emission, which never touches the cache.
+        let sim = || {
+            StepSimulator::new(
+                presets::mixtral_8x7b(),
+                FineTuneConfig::qlora_sparse(),
+                CostModel::new(GpuSpec::a40()),
+            )
+        };
+        let batches: Vec<usize> = (1..=8).chain(1..=8).collect();
+        let naive_sim = sim();
+        let naive: Vec<u64> = batches
+            .iter()
+            .map(|&b| {
+                naive_sim
+                    .simulate_step_naive(b, 79)
+                    .total_seconds()
+                    .to_bits()
+            })
+            .collect();
+        let shared = sim();
+        let parallel = parallel_map_with(8, &batches, |&b| {
+            shared.simulate_step(b, 79).total_seconds().to_bits()
+        });
+        assert_eq!(parallel, naive);
+        // Three layer traces per shape (forward, backward, recompute).
+        let stats = shared.cache_stats();
+        assert_eq!(stats.entries, 3 * 8, "{stats:?}");
+        assert_eq!(stats.hits + stats.misses, 3 * 16, "{stats:?}");
+    }
+
+    #[test]
     fn workers_adopt_stashed_warm_shelves() {
         use ftsim_tensor::pool;
         // A bucket size the simulator never uses, so reuses of it can only

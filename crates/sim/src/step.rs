@@ -268,9 +268,8 @@ impl StepSimulator {
     }
 
     /// Reference path: emits every layer's kernels individually, with no
-    /// memoization or segment compression — O(layers × kernels). Kept for
-    /// equivalence testing and as the baseline the perf benches compare
-    /// against.
+    /// memoization or segment compression — O(layers × kernels). Kept as
+    /// the oracle the equivalence tests compare the memoized path against.
     ///
     /// # Panics
     ///

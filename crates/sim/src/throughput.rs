@@ -54,7 +54,7 @@ impl ThroughputSweep {
     }
 
     /// [`ThroughputSweep::run`] with an explicit worker count (`1` forces
-    /// the serial path; used by the determinism tests and perf benches).
+    /// the serial path; used by the determinism tests).
     ///
     /// # Errors
     ///

@@ -77,9 +77,9 @@ fn arena_bump(f: impl FnOnce(&mut ArenaStats)) {
 
 /// Enables or disables the node arena on the current thread. While
 /// disabled, every graph node is a fresh `Rc` allocation and dead nodes are
-/// freed instead of reclaimed — the configuration used as the
-/// "serial-naive" baseline in `repro bench_tensor`. Disabling does not
-/// drop already-reclaimed nodes; call [`arena_clear`] for that.
+/// freed instead of reclaimed — the reference configuration the tests use
+/// to show that node reuse never changes a result. Disabling does not drop
+/// already-reclaimed nodes; call [`arena_clear`] for that.
 pub fn set_arena_enabled(enabled: bool) {
     let _ = ARENA_ENABLED.try_with(|e| e.set(enabled));
 }
@@ -98,11 +98,6 @@ pub fn arena_stats() -> ArenaStats {
 /// (counters are preserved).
 pub fn arena_clear() {
     let _ = NODE_ARENA.try_with(|a| a.borrow_mut().clear());
-}
-
-/// Number of dead nodes currently held by the arena free list.
-pub fn arena_resident() -> usize {
-    NODE_ARENA.try_with(|a| a.borrow().len()).unwrap_or(0)
 }
 
 /// A differentiable tensor variable.

@@ -745,11 +745,17 @@ mod tests {
         assert!(w.value().item().abs() < 1e-2, "w = {}", w.value().item());
     }
 
-    /// Trains a small MoE classifier for `steps` steps on fixed data and
-    /// returns (per-step losses, final parameter tensors).
-    fn train_moe(kind: ExpertKind, fused: bool, steps: usize) -> (Vec<f32>, Vec<Tensor>) {
+    /// Trains a small 4-expert MoE classifier with top-`top_k` routing for
+    /// `steps` steps on fixed data and returns (per-step losses, final
+    /// parameter tensors).
+    fn train_moe(
+        kind: ExpertKind,
+        top_k: usize,
+        fused: bool,
+        steps: usize,
+    ) -> (Vec<f32>, Vec<Tensor>) {
         let mut rng = StdRng::seed_from_u64(40);
-        let moe = MoeLayer::new(kind, 4, 8, 4, 2, &mut rng).unwrap();
+        let moe = MoeLayer::new(kind, 4, 8, 4, top_k, &mut rng).unwrap();
         let head = Linear::new(4, 3, &mut rng);
         let x = Tensor::rand_uniform([20, 4], 1.0, &mut rng);
         let labels: Vec<usize> = (0..20).map(|i| i % 3).collect();
@@ -777,28 +783,59 @@ mod tests {
     fn fused_training_bit_identical_to_naive_over_steps() {
         // The tentpole equivalence guarantee: fused kernels + reusable tape
         // produce bit-identical losses AND parameter trajectories to the
-        // composed naive ops over multiple optimizer steps.
-        for kind in [ExpertKind::GeluFfn, ExpertKind::SwiGlu] {
-            let (fused_losses, fused_params) = train_moe(kind, true, 4);
-            let (naive_losses, naive_params) = train_moe(kind, false, 4);
+        // composed naive ops over multiple optimizer steps, under sparse
+        // top-2 routing and dense routing (every expert active).
+        for (kind, top_k) in [
+            (ExpertKind::GeluFfn, 2),
+            (ExpertKind::SwiGlu, 2),
+            (ExpertKind::SwiGlu, 4),
+        ] {
+            let (fused_losses, fused_params) = train_moe(kind, top_k, true, 4);
+            let (naive_losses, naive_params) = train_moe(kind, top_k, false, 4);
             for (s, (a, b)) in fused_losses.iter().zip(&naive_losses).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "{kind:?} loss diverged at step {s}: {a} vs {b}"
+                    "{kind:?} top-{top_k} loss diverged at step {s}: {a} vs {b}"
                 );
             }
             for (i, (a, b)) in fused_params.iter().zip(&naive_params).enumerate() {
-                assert_eq!(a, b, "{kind:?} parameter {i} diverged after training");
+                assert_eq!(
+                    a, b,
+                    "{kind:?} top-{top_k} parameter {i} diverged after training"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn moe_training_is_bit_identical_without_the_node_arena() {
+        // The reference is the composed naive path with the node arena off
+        // (every graph node freshly allocated and freed); the production
+        // path is fused with the arena recycling nodes. They must agree on
+        // a real MoE step, under sparse and dense routing.
+        for top_k in [2, 4] {
+            crate::autograd::set_arena_enabled(false);
+            let (ref_losses, ref_params) = train_moe(ExpertKind::SwiGlu, top_k, false, 4);
+            crate::autograd::set_arena_enabled(true);
+            let (losses, params) = train_moe(ExpertKind::SwiGlu, top_k, true, 4);
+            for (s, (a, b)) in losses.iter().zip(&ref_losses).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "top-{top_k} loss diverged at step {s}"
+                );
+            }
+            assert_eq!(params, ref_params, "top-{top_k} parameters diverged");
         }
     }
 
     #[test]
     fn steady_state_training_steps_allocate_nothing() {
         // After the warm-up step, every tensor a step needs comes back out
-        // of the buffer pool — the zero-allocation property bench_tensor
-        // reports. Thread-local pools make this counter deterministic.
+        // of the buffer pool — the zero-allocation property the benchmark
+        // reports as `pool.fresh_allocs_per_step`. Thread-local pools make
+        // this counter deterministic.
         let mut rng = StdRng::seed_from_u64(41);
         // Dense routing (top_k == num_experts) keeps the per-step op
         // structure exactly identical, making the counter airtight.

@@ -467,6 +467,41 @@ mod tests {
         assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 
+    #[test]
+    fn fused_linear_matches_composed_above_the_parallel_threshold() {
+        // The proptest below stays under the parallel FLOP threshold; this
+        // shape (8.4 MFLOP) runs the threaded fused epilogue, and the
+        // composed reference runs the threaded plain matmul.
+        let (m, k, n) = (256, 64, 256);
+        let mut rng = StdRng::seed_from_u64(11);
+        let x = Tensor::rand_normal([m, k], 1.0, &mut rng);
+        let w = Tensor::rand_normal([k, n], 0.5, &mut rng);
+        let b = Tensor::rand_normal([1, n], 0.5, &mut rng);
+        for act in [Activation::Identity, Activation::Silu, Activation::Gelu] {
+            for bias in [None, Some(&b)] {
+                let fused = matmul_bias_act(&x, &w, bias, act).unwrap();
+                let mut composed = x.matmul(&w).unwrap();
+                if let Some(b) = bias {
+                    for r in 0..m {
+                        for c in 0..n {
+                            composed.set2(r, c, composed.get2(r, c) + b.get2(0, c));
+                        }
+                    }
+                }
+                let composed = composed.map(|v| act.apply(v));
+                assert!(
+                    fused
+                        .data()
+                        .iter()
+                        .zip(composed.data())
+                        .all(|(a, e)| a.to_bits() == e.to_bits()),
+                    "{act:?} (bias {}) diverged from the composed ops",
+                    bias.is_some()
+                );
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_softmax_rows_are_distributions(rows in 1usize..5, cols in 1usize..8, seed in 0u64..500) {

@@ -4,13 +4,11 @@
 //! points the other way), so it reads the same `FTSIM_THREADS` environment
 //! variable itself.
 //!
-//! Three kernels live here, all bound by the same accumulation-order
+//! Two kernels live here, both bound by the same accumulation-order
 //! contract (see DESIGN.md "Kernel contracts"):
 //!
 //! * [`matmul_naive_into`] — the i-p-j oracle. Slow, obviously correct,
-//!   and the reference every other kernel must match bit-for-bit.
-//! * [`matmul_blocked_into`] — the pre-microkernel cache-blocked kernel,
-//!   retained as the perf baseline for `repro bench_tensor`.
+//!   and the reference the production kernel must match bit-for-bit.
 //! * [`matmul_microkernel_into`] — the production kernel: cache-blocked
 //!   over the inner dimension and tiled into fixed `MR`×`NR` register
 //!   accumulators. Its band tiles, the fused epilogue's bias add, and the
@@ -22,7 +20,7 @@
 //! The contract: every output element accumulates its products in
 //! ascending inner-index (`p`) order, skipping terms whose *lhs* factor is
 //! exactly `0.0`. Because each element's addition sequence is fixed,
-//! results are bit-identical across all three kernels, across the scalar
+//! results are bit-identical across both kernels, across the scalar
 //! and SIMD bodies (which round identically — see `crate::simd`), and at
 //! every thread count (row partitioning never reorders a single element's
 //! sums). `linear_act_backward_into` extends the same contract to the
@@ -74,8 +72,8 @@ fn resolve_thread_count(env_value: Option<&str>) -> usize {
 /// `out[m×n] = lhs[m×k] @ rhs[k×n]` via the naive i-p-j triple loop.
 ///
 /// This is the accumulation-order *oracle*: ascending `p` per output
-/// element, with terms skipped when the lhs factor is exactly `0.0`. Every
-/// other matmul kernel in the crate is tested bit-identical to this one.
+/// element, with terms skipped when the lhs factor is exactly `0.0`. The
+/// microkernel is tested bit-identical to this one.
 /// `out` must be zero-initialized and of length `m*n`.
 pub fn matmul_naive_into(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(lhs.len(), m * k, "lhs length");
@@ -96,29 +94,9 @@ pub fn matmul_naive_into(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k:
     }
 }
 
-/// `out[m×n] = lhs[m×k] @ rhs[k×n]` via the pre-microkernel cache-blocked
-/// kernel (serial), retained as the `repro bench_tensor` perf baseline.
-///
-/// Identical accumulation order to [`matmul_naive_into`]: the `K_BLOCK`
-/// panel split keeps ascending-`p` order per element, it only reorders
-/// work *between* elements. `out` must be zero-initialized, length `m*n`.
-pub fn matmul_blocked_into(
-    lhs: &[f32],
-    rhs: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(lhs.len(), m * k, "lhs length");
-    assert_eq!(rhs.len(), k * n, "rhs length");
-    assert_eq!(out.len(), m * n, "out length");
-    matmul_rows_blocked(lhs, rhs, out, 0, k, n);
-}
-
 /// `out[m×n] = lhs[m×k] @ rhs[k×n]` via the register-tile microkernel
-/// (serial). This is the kernel the crate-internal `matmul_into` dispatcher drives under threads; it is
-/// public so benches can time it against [`matmul_blocked_into`] without
+/// (serial). This is the kernel the crate-internal `matmul_into` dispatcher
+/// drives under threads; it is public so a benchmark can time it without
 /// thread-count noise. `out` must be zero-initialized, length `m*n`.
 pub fn matmul_microkernel_into(
     lhs: &[f32],
@@ -134,29 +112,9 @@ pub fn matmul_microkernel_into(
     matmul_rows(lhs, rhs, out, 0, k, n);
 }
 
-/// The pre-microkernel inner kernel: for each `K_BLOCK` panel, each output
-/// row is re-read and re-written once per `p` step. Kept (a) as the perf
-/// baseline and (b) as the remainder path for row counts below [`MR`].
-fn matmul_rows_blocked(
-    lhs: &[f32],
-    rhs: &[f32],
-    out_rows: &mut [f32],
-    row0: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = out_rows.len() / n.max(1);
-    for p0 in (0..k).step_by(K_BLOCK) {
-        let p1 = (p0 + K_BLOCK).min(k);
-        for i in 0..rows {
-            blocked_row_panel(lhs, rhs, out_rows, row0, i, p0, p1, k, n);
-        }
-    }
-}
-
-/// One row × one `K_BLOCK` panel of the blocked kernel: ascending `p`, lhs
-/// zero-skip, full column span. Shared by the blocked kernel and the
-/// microkernel's row-remainder path so both stay order-identical.
+/// One row × one `K_BLOCK` panel: ascending `p`, lhs zero-skip, full column
+/// span. This is the microkernel's row-remainder path for the rows of a
+/// block below a full [`MR`] band; it follows the naive oracle's order.
 #[allow(clippy::too_many_arguments)]
 fn blocked_row_panel(
     lhs: &[f32],
@@ -242,7 +200,7 @@ fn band_tiles<const ZERO_SKIP: bool>(
 /// into a fixed-size accumulator array, updated with ascending-`p` FMAs
 /// across the panel, and stored back once. Loading the tile from `out` at
 /// panel entry (rather than zeroing it) means each element performs exactly
-/// the same addition sequence as the blocked kernel and the naive oracle —
+/// the same addition sequence as the naive oracle —
 /// ascending `p` with the lhs `0.0` skip — so results stay bit-identical.
 /// Column remainders (`n % NR`) and row remainders (`rows % MR`) fall back
 /// to the scalar panel loop in the same order.
@@ -605,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_is_bit_identical_to_naive() {
+    fn microkernel_is_bit_identical_to_naive() {
         for (m, k, n) in [
             (1, 1, 1),
             (3, 5, 7),
@@ -615,18 +573,9 @@ mod tests {
         ] {
             let lhs = sparse_data(m * k, 11);
             let rhs = pseudo_data(k * n, 23);
-            let mut blocked = vec![0.0f32; m * n];
-            matmul_blocked_into(&lhs, &rhs, &mut blocked, m, k, n);
             let mut micro = vec![0.0f32; m * n];
             matmul_rows(&lhs, &rhs, &mut micro, 0, k, n);
             let expect = naive(&lhs, &rhs, m, k, n);
-            assert!(
-                blocked
-                    .iter()
-                    .zip(&expect)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "blocked kernel diverged at ({m},{k},{n})"
-            );
             assert!(
                 micro
                     .iter()
@@ -639,10 +588,10 @@ mod tests {
 
     proptest! {
         /// The accumulation-order contract, machine-enforced: for arbitrary
-        /// shapes (remainders included) and sparse data, the microkernel,
-        /// the blocked reference, and the naive oracle agree bit-for-bit.
+        /// shapes (remainders included) and sparse data, the microkernel
+        /// and the naive oracle agree bit-for-bit.
         #[test]
-        fn prop_microkernel_matches_naive_and_blocked_bitwise(
+        fn prop_microkernel_matches_naive_bitwise(
             m in 1usize..14,
             k in 1usize..150,
             n in 1usize..28,
@@ -658,14 +607,8 @@ mod tests {
             };
             let rhs = pseudo_data(k * n, seed.wrapping_mul(3).wrapping_add(7));
             let expect = naive(&lhs, &rhs, m, k, n);
-            let mut blocked = vec![0.0f32; m * n];
-            matmul_blocked_into(&lhs, &rhs, &mut blocked, m, k, n);
             let mut micro = vec![0.0f32; m * n];
             matmul_microkernel_into(&lhs, &rhs, &mut micro, m, k, n);
-            prop_assert!(
-                blocked.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "blocked kernel diverged at ({},{},{})", m, k, n
-            );
             prop_assert!(
                 micro.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "microkernel diverged at ({},{},{})", m, k, n
@@ -845,6 +788,32 @@ mod tests {
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{workers}-way fused split diverged"
             );
+        }
+    }
+
+    #[test]
+    fn threaded_dispatch_matches_naive_under_both_simd_modes() {
+        // Shapes above PARALLEL_FLOP_THRESHOLD, so `matmul_into` fans row
+        // blocks out across the worker threads (the proptests stay below
+        // it and run serial). Each forced mode is compared with the oracle,
+        // not with the other, as in the dispatch proptest.
+        for (m, k, n) in [(256, 64, 256), (97, 200, 41)] {
+            assert!(2 * m * k * n >= PARALLEL_FLOP_THRESHOLD);
+            let lhs = sparse_data(m * k, 31);
+            let rhs = pseudo_data(k * n, 37);
+            let expect = naive(&lhs, &rhs, m, k, n);
+            for forced in [false, true] {
+                crate::simd::force(Some(forced));
+                let mut out = vec![0.0f32; m * n];
+                matmul_into(&lhs, &rhs, &mut out, m, k, n);
+                crate::simd::force(None);
+                assert!(
+                    out.iter()
+                        .zip(&expect)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "threaded kernel (simd forced {forced}) diverged at ({m},{k},{n})"
+                );
+            }
         }
     }
 

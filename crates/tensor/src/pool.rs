@@ -7,8 +7,9 @@
 //! pool keeps shelves of spare buffers keyed by **power-of-two capacity
 //! bucket** — a request for `len` elements is served by any shelved buffer
 //! whose capacity reaches the next power of two ≥ `len` — and counts fresh
-//! allocations, reuses, returns, and discards, which is how the
-//! `repro bench_tensor` experiment proves the zero-steady-state-allocation
+//! allocations, reuses, returns, and discards, which is how the tests
+//! (`steady_state_training_steps_allocate_nothing`) and the benchmark's
+//! `pool.fresh_allocs_per_step` prove the zero-steady-state-allocation
 //! property.
 //!
 //! Bucketing (rather than exact-capacity keying) is what extends the
@@ -30,7 +31,6 @@
 //! ([`BufferPool::take`] returns an *empty* vector that the caller extends);
 //! stale data from a previous tenant is never observable.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,7 +99,7 @@ pub struct PoolStats {
     pub reuses: u64,
     /// Buffers accepted back onto a shelf.
     pub returns: u64,
-    /// Buffers dropped instead of shelved (full shelf, oversized, disabled).
+    /// Buffers dropped instead of shelved (full shelf or oversized).
     pub discards: u64,
 }
 
@@ -390,28 +390,10 @@ impl Pool<f32> {
 
 thread_local! {
     static POOL: BufferPool = BufferPool::new();
-    static ENABLED: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Enables or disables pooling on the current thread. While disabled,
-/// [`take`] always allocates fresh storage (still counted as a fresh
-/// allocation) and [`give`] drops buffers instead of shelving them — the
-/// configuration used as the "serial-naive" baseline in `repro bench_tensor`.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.with(|e| e.set(enabled));
-}
-
-/// Whether pooling is enabled on the current thread.
-pub fn enabled() -> bool {
-    ENABLED.with(Cell::get)
 }
 
 /// [`BufferPool::take`] on the current thread's pool.
 pub fn take(len: usize) -> Vec<f32> {
-    if !enabled() {
-        bump_fresh();
-        return Vec::with_capacity(len);
-    }
     POOL.try_with(|p| p.take(len))
         .unwrap_or_else(|_| Vec::with_capacity(len))
 }
@@ -440,22 +422,14 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 /// [`BufferPool::give`] on the current thread's pool. Safe to call during
 /// thread teardown (the buffer is simply dropped once the pool is gone).
 pub fn give(buf: Vec<f32>) {
-    if !enabled() {
-        return;
-    }
     let _ = POOL.try_with(|p| p.give(buf));
 }
 
 /// [`BufferPool::take_shaped`] on the current thread's pool: an **empty**
 /// vector with capacity for a tensor of shape `dims`.
 pub fn take_shaped(dims: &[usize]) -> Vec<f32> {
-    let len: usize = dims.iter().product();
-    if !enabled() {
-        bump_fresh();
-        return Vec::with_capacity(len);
-    }
     POOL.try_with(|p| p.take_shaped(dims))
-        .unwrap_or_else(|_| Vec::with_capacity(len))
+        .unwrap_or_else(|_| Vec::with_capacity(dims.iter().product()))
 }
 
 /// A vector of `dims.iter().product()` zeros from the current thread's
@@ -488,9 +462,6 @@ pub fn take_shaped_copy(dims: &[usize], src: &[f32]) -> Vec<f32> {
 /// during thread teardown (the buffer is simply dropped once the pool is
 /// gone).
 pub fn give_shaped(dims: &[usize], buf: Vec<f32>) {
-    if !enabled() {
-        return;
-    }
     let _ = POOL.try_with(|p| p.give_shaped(dims, buf));
 }
 
@@ -502,15 +473,6 @@ pub fn stats() -> PoolStats {
 /// Drops every buffer shelved by the current thread's pool.
 pub fn clear() {
     let _ = POOL.try_with(BufferPool::clear);
-}
-
-/// Number of buffers currently shelved by the current thread's pool.
-pub fn resident() -> usize {
-    POOL.try_with(BufferPool::resident).unwrap_or(0)
-}
-
-fn bump_fresh() {
-    let _ = POOL.try_with(|p| p.fresh_allocs.fetch_add(1, Ordering::Relaxed));
 }
 
 /// Most donations the global stash retains; beyond this, an exiting
@@ -530,13 +492,10 @@ static STASH: Mutex<Vec<FxMap<usize, Vec<Vec<f32>>>>> = Mutex::new(Vec::new());
 /// worker generation's thread-local pool dies with the thread and the next
 /// generation pays the fresh-allocation churn all over again. Donating is
 /// counter-neutral — the buffers were already accounted as returns when
-/// they were given back. No-op when pooling is disabled, when the thread's
-/// shelves are empty, or when the stash is full (the shelves then drop
-/// exactly as they would have without stashing).
+/// they were given back. No-op when the thread's shelves are empty or when
+/// the stash is full (the shelves then drop exactly as they would have
+/// without stashing).
 pub fn stash_donate() {
-    if !enabled() {
-        return;
-    }
     let Ok(shelves) = POOL.try_with(Pool::take_shelves) else {
         return;
     };
@@ -554,9 +513,6 @@ pub fn stash_donate() {
 /// already allocated. Counter-neutral, like [`stash_donate`]; the benefit
 /// shows up as reuses-instead-of-fresh-allocs on this thread's next takes.
 pub fn stash_adopt() {
-    if !enabled() {
-        return;
-    }
     let donation = STASH.lock().expect("stash mutex").pop();
     if let Some(donation) = donation {
         let _ = POOL.try_with(|p| p.adopt_shelves(donation));
@@ -762,23 +718,47 @@ mod tests {
     }
 
     #[test]
+    fn thread_pool_recycles_only_on_its_own_thread() {
+        // The free functions route to the calling thread's pool: a buffer
+        // given back on one thread serves that thread's next take, and
+        // another thread's pool never sees it.
+        std::thread::spawn(|| {
+            let mut a = take_zeroed(40);
+            a.iter_mut().for_each(|x| *x = 3.0);
+            let ptr = a.as_ptr();
+            give(a);
+            let b = take_zeroed(40);
+            assert_eq!(b.as_ptr(), ptr, "expected the same storage back");
+            assert!(b.iter().all(|&x| x == 0.0), "stale data leaked");
+            let s = stats();
+            assert_eq!((s.fresh_allocs, s.reuses, s.returns), (1, 1, 1));
+            give(b);
+            std::thread::spawn(|| {
+                let v = take_zeroed(40);
+                let s = stats();
+                assert_eq!((s.fresh_allocs, s.reuses), (1, 0));
+                assert_eq!(v.len(), 40);
+            })
+            .join()
+            .unwrap();
+            let c = take_zeroed(40);
+            assert_eq!(
+                c.as_ptr(),
+                ptr,
+                "the shelved buffer stays on its own thread"
+            );
+            assert_eq!(stats().reuses, 2);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
     fn take_copy_is_exact() {
         let pool = BufferPool::new();
         let src = [1.0, -2.0, 3.5];
         let v = pool.take_copy(&src);
         assert_eq!(v.as_slice(), &src);
-    }
-
-    #[test]
-    fn disabled_thread_pool_bypasses_shelves() {
-        set_enabled(false);
-        let before = stats();
-        let v = take_zeroed(32);
-        give(v);
-        let after = stats();
-        set_enabled(true);
-        assert_eq!(after.fresh_allocs, before.fresh_allocs + 1);
-        assert_eq!(after.returns, before.returns);
     }
 
     proptest! {
