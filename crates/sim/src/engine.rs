@@ -17,25 +17,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the worker-thread count.
-pub const THREADS_ENV: &str = "FTSIM_THREADS";
-
-/// Worker threads to use: `FTSIM_THREADS` if set to a positive integer,
-/// otherwise the machine's available parallelism.
-pub fn thread_count() -> usize {
-    resolve_thread_count(std::env::var(THREADS_ENV).ok().as_deref())
-}
-
-fn resolve_thread_count(env_value: Option<&str>) -> usize {
-    env_value
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
+/// The process-wide worker count: `FTSIM_THREADS` if set to a positive
+/// integer, otherwise the machine's available parallelism, resolved once
+/// and shared with the tensor kernels.
+pub use ftsim_tensor::parallel::{thread_count, THREADS_ENV};
 
 /// Maps `f` over `items` using [`thread_count`] workers; results come back
 /// in input order regardless of scheduling.
@@ -105,18 +90,6 @@ mod tests {
     use crate::step::StepSimulator;
     use ftsim_gpu::{CostModel, GpuSpec};
     use ftsim_model::{presets, FineTuneConfig};
-
-    #[test]
-    fn resolves_env_override_and_defaults() {
-        assert_eq!(resolve_thread_count(Some("4")), 4);
-        assert_eq!(resolve_thread_count(Some(" 2 ")), 2);
-        // Invalid or non-positive values fall back to the machine default.
-        let default = resolve_thread_count(None);
-        assert!(default >= 1);
-        assert_eq!(resolve_thread_count(Some("0")), default);
-        assert_eq!(resolve_thread_count(Some("lots")), default);
-        assert_eq!(resolve_thread_count(Some("")), default);
-    }
 
     #[test]
     fn map_preserves_input_order() {

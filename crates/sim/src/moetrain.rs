@@ -450,7 +450,9 @@ fn tree_reduce(mut layer: Vec<(f32, Vec<Option<Tensor>>)>) -> (f32, Vec<Option<T
 
 fn gather(sample: &TaskSample, idx: &[usize]) -> (Tensor, Vec<usize>) {
     let dim = sample.features.shape().dims()[1];
-    let mut data = Vec::with_capacity(idx.len() * dim);
+    // From the pool, not a plain `Vec`: the tensor gives its storage back
+    // on drop, and a foreign buffer would stay shelved for good.
+    let mut data = ftsim_tensor::pool::take(idx.len() * dim);
     let mut labels = Vec::with_capacity(idx.len());
     for &i in idx {
         data.extend_from_slice(sample.features.row(i));
@@ -647,6 +649,31 @@ mod tests {
                     "outcome diverged at {threads} threads (fused={fused})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn repeated_training_leaves_the_buffer_pool_flat() {
+        // Every buffer a run takes from this thread's pool goes back to it:
+        // once the first run has warmed the shelves, later runs neither
+        // grow nor shrink them. Shelf occupancy moves by returns − reuses.
+        // The node arena parks the last graph values until their nodes are
+        // reused; clearing it after each run hands those back as well, so
+        // the count sees every buffer the run touched.
+        let task = SyntheticTask::commonsense(16, 4, 58);
+        let mut cfg = small(MoeTrainConfig::mixtral_like(2));
+        cfg.train_examples = 96;
+        cfg.eval_examples = 64;
+        cfg.epochs = 2;
+        let run = || {
+            train_with_options(&task, &cfg, "pool", true, 1);
+            ftsim_tensor::autograd::arena_clear();
+            let stats = ftsim_tensor::pool::stats();
+            stats.returns - stats.reuses
+        };
+        let warm = run();
+        for call in 1..=3 {
+            assert_eq!(run(), warm, "pool shelves changed on call {call}");
         }
     }
 

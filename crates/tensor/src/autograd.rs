@@ -1122,7 +1122,6 @@ fn linear_act_grads(
         let mut db = need_db.then(|| Tensor::zeros(Shape::matrix(1, n)));
         let mut dx = need_dx.then(|| Tensor::zeros(Shape::matrix(m, k)));
         let mut dw = need_dw.then(|| Tensor::zeros(Shape::matrix(k, n)));
-        let mut scratch = crate::pool::take_shaped_zeroed(&[n]);
         crate::parallel::linear_act_backward_into(
             up.data(),
             pre.map(Tensor::data),
@@ -1132,12 +1131,10 @@ fn linear_act_grads(
             db.as_mut().map(Tensor::data_mut),
             dx.as_mut().map(Tensor::data_mut),
             dw.as_mut().map(Tensor::data_mut),
-            &mut scratch,
             m,
             k,
             n,
         );
-        crate::pool::give_shaped(&[n], scratch);
         return (db, dx, dw);
     }
     // dpre = up ⊙ act'(pre); for Identity, up itself.

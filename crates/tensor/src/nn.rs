@@ -595,13 +595,14 @@ impl AdamW {
                     m.resize(g.numel(), 0.0);
                     v.resize(g.numel(), 0.0);
                 }
-                for i in 0..val.numel() {
-                    let gi = g.data()[i];
-                    m[i] = b1 * m[i] + (1.0 - b1) * gi;
-                    v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
-                    let mhat = m[i] / bc1;
-                    let vhat = v[i] / bc2;
-                    let w = &mut val.data_mut()[i];
+                // Zipped, not indexed: without per-element bounds checks
+                // the loop vectorizes.
+                let lanes = val.data_mut().iter_mut().zip(g.data()).zip(m.iter_mut());
+                for (((w, &gi), mi), vi) in lanes.zip(v.iter_mut()) {
+                    *mi = b1 * *mi + (1.0 - b1) * gi;
+                    *vi = b2 * *vi + (1.0 - b2) * gi * gi;
+                    let mhat = *mi / bc1;
+                    let vhat = *vi / bc2;
                     *w -= lr * (mhat / (vhat.sqrt() + eps) + wd * *w);
                 }
             });
@@ -743,6 +744,78 @@ mod tests {
             opt.step(std::slice::from_ref(&w));
         }
         assert!(w.value().item().abs() < 1e-2, "w = {}", w.value().item());
+    }
+
+    #[test]
+    fn adamw_step_is_bit_identical_to_the_indexed_loop() {
+        /// Reference: the same AdamW update written element by element
+        /// with indexing; `t` is the 1-based step number.
+        fn indexed_step(opt: &AdamW, t: u64, params: &[Var], moments: &mut [(Vec<f32>, Vec<f32>)]) {
+            let t = t as f32;
+            let bc1 = 1.0 - opt.beta1.powf(t);
+            let bc2 = 1.0 - opt.beta2.powf(t);
+            let (lr, b1, b2, eps, wd) = (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay);
+            for (p, (m, v)) in params.iter().zip(moments.iter_mut()) {
+                p.update_with_grad(|val, g| {
+                    if m.is_empty() {
+                        m.resize(g.numel(), 0.0);
+                        v.resize(g.numel(), 0.0);
+                    }
+                    for i in 0..val.numel() {
+                        let gi = g.data()[i];
+                        m[i] = b1 * m[i] + (1.0 - b1) * gi;
+                        v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
+                        let mhat = m[i] / bc1;
+                        let vhat = v[i] / bc2;
+                        let w = &mut val.data_mut()[i];
+                        *w -= lr * (mhat / (vhat.sqrt() + eps) + wd * *w);
+                    }
+                });
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(77);
+        let shapes = [[3, 5], [1, 7], [4, 4], [9, 2]];
+        // Parameter 2 never receives a gradient, like an expert no token
+        // was routed to.
+        let skipped = 2;
+        let init: Vec<Tensor> = shapes
+            .iter()
+            .map(|&s| Tensor::rand_uniform(s, 1.0, &mut rng))
+            .collect();
+        let zipped: Vec<Var> = init.iter().cloned().map(Var::parameter).collect();
+        let indexed: Vec<Var> = init.iter().cloned().map(Var::parameter).collect();
+        let mut opt = AdamW::new(0.05, zipped.len());
+        let mut moments = vec![(Vec::new(), Vec::new()); indexed.len()];
+        for step in 1..=5u64 {
+            for (i, (a, b)) in zipped.iter().zip(&indexed).enumerate() {
+                if i == skipped {
+                    continue;
+                }
+                let mut g = Tensor::rand_uniform(shapes[i], 1.0, &mut rng);
+                for (j, gj) in g.data_mut().iter_mut().enumerate() {
+                    if (j + step as usize).is_multiple_of(3) {
+                        *gj = 0.0;
+                    }
+                }
+                a.seed_grad(g.clone());
+                b.seed_grad(g);
+            }
+            opt.step(&zipped);
+            indexed_step(&opt, step, &indexed, &mut moments);
+            for (i, (a, b)) in zipped.iter().zip(&indexed).enumerate() {
+                let (a, b) = (a.value(), b.value());
+                assert!(
+                    a.data()
+                        .iter()
+                        .zip(b.data())
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "parameter {i} diverged at step {step}"
+                );
+            }
+        }
+        assert_eq!(zipped[skipped].value(), init[skipped]);
+        assert_ne!(zipped[0].value(), init[0]);
     }
 
     /// Trains a small 4-expert MoE classifier with top-`top_k` routing for

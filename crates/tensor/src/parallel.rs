@@ -1,8 +1,8 @@
 //! Thread configuration and the matmul microkernel family.
 //!
-//! `ftsim-tensor` cannot depend on `ftsim-sim`'s engine (the dependency
-//! points the other way), so it reads the same `FTSIM_THREADS` environment
-//! variable itself.
+//! `ftsim-tensor` sits below `ftsim-sim` in the dependency graph, so the
+//! `FTSIM_THREADS` resolver lives here and `ftsim-sim`'s engine re-exports
+//! it: one cached worker count for the whole process.
 //!
 //! Two kernels live here, both bound by the same accumulation-order
 //! contract (see DESIGN.md "Kernel contracts"):
@@ -12,7 +12,7 @@
 //! * [`matmul_microkernel_into`] — the production kernel: cache-blocked
 //!   over the inner dimension and tiled into fixed `MR`×`NR` register
 //!   accumulators. Its band tiles, the fused epilogue's bias add, and the
-//!   backward epilogue's `db`/`dw` sweeps dispatch at runtime to explicit
+//!   backward epilogue's `db`/`dx`/`dw` sweeps dispatch at runtime to explicit
 //!   AVX2 bodies in [`crate::simd`] when the host supports them, with the
 //!   scalar tiles as the always-compiled fallback (`FTSIM_NO_SIMD=1`
 //!   forces it).
@@ -25,6 +25,8 @@
 //! every thread count (row partitioning never reorders a single element's
 //! sums). `linear_act_backward_into` extends the same contract to the
 //! fused backward epilogue.
+
+use std::sync::OnceLock;
 
 /// Environment variable overriding the worker-thread count (shared with
 /// `ftsim-sim`'s engine).
@@ -54,8 +56,14 @@ pub(crate) const PARALLEL_FLOP_THRESHOLD: usize = 1 << 20;
 
 /// Worker threads to use: `FTSIM_THREADS` if set to a positive integer,
 /// otherwise the machine's available parallelism.
+///
+/// Resolved once per process and cached: every matmul call asks, and
+/// `available_parallelism` re-reads cgroup files on each call (tens of µs
+/// on a containerized host). Setting `FTSIM_THREADS` after the first call
+/// has no effect.
 pub fn thread_count() -> usize {
-    resolve_thread_count(std::env::var(THREADS_ENV).ok().as_deref())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| resolve_thread_count(std::env::var(THREADS_ENV).ok().as_deref()))
 }
 
 fn resolve_thread_count(env_value: Option<&str>) -> usize {
@@ -415,11 +423,11 @@ pub(crate) fn matmul_bias_act_into(
 /// * `dw[k×n]  = xᵀ @ dpre`                   (weight gradient)
 ///
 /// where `dpre[r][j] = up[r][j] · act'(pre[r][j])` — but `dpre` is never
-/// materialized as an `m×n` tensor. Instead a single row (`dpre_row`,
-/// caller-provided scratch of length `n`) is recomputed per input row and
-/// folded straight into the three accumulations. Each output is optional:
-/// pass `None` for operands that do not require gradients and the
-/// corresponding sweep is skipped entirely.
+/// materialized as an `m×n` tensor. Instead a single row is recomputed per
+/// input row into pooled scratch and folded straight into the three
+/// accumulations. Each output is optional: pass `None` for operands that
+/// do not require gradients and the corresponding sweep is skipped
+/// entirely.
 ///
 /// Bit-identity with the composed path (`dpre = up ⊙ act'(pre)` followed by
 /// `dpre @ wᵀ` / `xᵀ @ dpre` matmuls and the row-sum bias reduction):
@@ -427,6 +435,10 @@ pub(crate) fn matmul_bias_act_into(
 /// * `db[j]` adds `dpre[r][j]` in ascending `r` — the row-sum order.
 /// * `dx[r][c]` accumulates `dpre[r][p] · w[c][p]` in ascending `p`,
 ///   skipping zero `dpre` factors — the matmul contract with `dpre` as lhs.
+///   The sweep vectorizes across `c`, not `p`: `w` is transposed once into
+///   pooled `[n×k]` scratch, and for each ascending `p` with a nonzero
+///   `dpre[r][p]` the whole `dx` row takes one mul-then-add axpy against
+///   `wᵀ[p]`. Each element still sees the same products in the same order.
 /// * `dw[c][j]` accumulates `x[r][c] · dpre[r][j]` in ascending `r`,
 ///   skipping zero `x` factors — the matmul contract with `xᵀ` as lhs.
 ///
@@ -444,7 +456,6 @@ pub(crate) fn linear_act_backward_into(
     mut db: Option<&mut [f32]>,
     mut dx: Option<&mut [f32]>,
     mut dw: Option<&mut [f32]>,
-    dpre_row: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
@@ -452,7 +463,6 @@ pub(crate) fn linear_act_backward_into(
     assert_eq!(up.len(), m * n, "upstream gradient length");
     assert_eq!(x.len(), m * k, "input length");
     assert_eq!(w.len(), k * n, "weight length");
-    assert_eq!(dpre_row.len(), n, "dpre scratch length");
     if let Some(d) = db.as_deref() {
         assert_eq!(d.len(), n, "bias gradient length");
     }
@@ -465,6 +475,19 @@ pub(crate) fn linear_act_backward_into(
     if let Some(p) = pre {
         assert_eq!(p.len(), m * n, "pre-activation length");
     }
+    let mut dpre_row = crate::pool::take_zeroed(n);
+    // wt[p][c] = w[c][p], so each dx axpy reads one contiguous row.
+    let wt = dx.is_some().then(|| {
+        let mut wt = crate::pool::take_zeroed(n * k);
+        // Contiguous reads of `w`, strided writes: the faster direction at
+        // training shapes. With `n == 0`, `w` is empty and nothing is copied.
+        for (c, w_row) in w.chunks_exact(n.max(1)).enumerate() {
+            for (p, &v) in w_row.iter().enumerate() {
+                wt[p * k + c] = v;
+            }
+        }
+        wt
+    });
     for r in 0..m {
         let up_row = &up[r * n..(r + 1) * n];
         match pre {
@@ -478,24 +501,17 @@ pub(crate) fn linear_act_backward_into(
         }
         if let Some(db) = db.as_deref_mut() {
             // Lane-parallel over j: ascending-r order per element preserved.
-            add_assign_slices(db, dpre_row);
+            add_assign_slices(db, &dpre_row);
         }
-        if let Some(dx) = dx.as_deref_mut() {
-            // Stays scalar on purpose: dx[r][c] reduces along the would-be
-            // vector axis (a dot product in ascending p), and any lane-wise
-            // horizontal reduction would reorder those sums and break the
-            // bit-identity contract.
+        if let (Some(dx), Some(wt)) = (dx.as_deref_mut(), wt.as_deref()) {
+            // Lane-parallel axpy over c: ascending-p order per element,
+            // with the dpre-as-lhs zero-skip on the broadcast factor.
             let dx_row = &mut dx[r * k..(r + 1) * k];
-            for (c, slot) in dx_row.iter_mut().enumerate() {
-                let w_row = &w[c * n..(c + 1) * n];
-                let mut acc = *slot;
-                for (p, &g) in dpre_row.iter().enumerate() {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    acc += g * w_row[p];
+            for (p, &g) in dpre_row.iter().enumerate() {
+                if g == 0.0 {
+                    continue;
                 }
-                *slot = acc;
+                axpy_slices(dx_row, g, &wt[p * k..(p + 1) * k]);
             }
         }
         if let Some(dw) = dw.as_deref_mut() {
@@ -507,9 +523,13 @@ pub(crate) fn linear_act_backward_into(
                 // Lane-parallel axpy over j: ascending-r order per element,
                 // with the xᵀ-as-lhs zero-skip handled on the broadcast
                 // factor above — identical to the scalar sweep.
-                axpy_slices(&mut dw[c * n..(c + 1) * n], a, dpre_row);
+                axpy_slices(&mut dw[c * n..(c + 1) * n], a, &dpre_row);
             }
         }
+    }
+    crate::pool::give(dpre_row);
+    if let Some(wt) = wt {
+        crate::pool::give(wt);
     }
 }
 
@@ -556,10 +576,16 @@ mod tests {
     #[test]
     fn env_parsing_matches_engine_semantics() {
         assert_eq!(resolve_thread_count(Some("3")), 3);
+        assert_eq!(resolve_thread_count(Some("4")), 4);
+        assert_eq!(resolve_thread_count(Some(" 2 ")), 2);
+        // Invalid or non-positive values fall back to the machine default.
         let default = resolve_thread_count(None);
         assert!(default >= 1);
         assert_eq!(resolve_thread_count(Some("0")), default);
         assert_eq!(resolve_thread_count(Some("no")), default);
+        assert_eq!(resolve_thread_count(Some("lots")), default);
+        assert_eq!(resolve_thread_count(Some("")), default);
+        assert!(thread_count() >= 1);
     }
 
     #[test]
@@ -894,9 +920,24 @@ mod tests {
         for (forced, (m, k, n)) in [Some(false), Some(true), None]
             .into_iter()
             .flat_map(|f| {
-                [(1, 1, 1), (5, 3, 7), (13, 70, 9), (8, 8, 8), (6, 9, 21)]
-                    .into_iter()
-                    .map(move |shape| (f, shape))
+                [
+                    (1, 1, 1),
+                    (5, 3, 7),
+                    (13, 70, 9),
+                    (8, 8, 8),
+                    (6, 9, 21),
+                    // Expert-linear shapes the MoE trainer runs, with k < n
+                    // and k > n, down to a single routed token.
+                    (11, 32, 64),
+                    (16, 64, 32),
+                    (1, 32, 64),
+                    (4, 16, 32),
+                    // Empty inner and output dimensions.
+                    (3, 0, 4),
+                    (2, 5, 0),
+                ]
+                .into_iter()
+                .map(move |shape| (f, shape))
             })
             .collect::<Vec<_>>()
         {
@@ -917,7 +958,6 @@ mod tests {
                 let mut db = vec![0.0f32; n];
                 let mut dx = vec![0.0f32; m * k];
                 let mut dw = vec![0.0f32; k * n];
-                let mut scratch = vec![0.0f32; n];
                 linear_act_backward_into(
                     &up,
                     pre,
@@ -927,7 +967,6 @@ mod tests {
                     Some(&mut db),
                     Some(&mut dx),
                     Some(&mut dw),
-                    &mut scratch,
                     m,
                     k,
                     n,

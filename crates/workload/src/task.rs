@@ -124,7 +124,9 @@ impl SyntheticTask {
 
     /// Draws `n` labeled examples.
     pub fn sample(&self, n: usize, rng: &mut impl Rng) -> TaskSample {
-        let mut data = Vec::with_capacity(n * self.dim);
+        // Pool-born storage returns to the bucket it came from when the
+        // tensor drops, so repeated samples reuse one buffer.
+        let mut data = ftsim_tensor::pool::take(n * self.dim);
         let mut labels = Vec::with_capacity(n);
         for _ in 0..n {
             match self.family {
