@@ -10,11 +10,13 @@
 
 use crate::routing::TokenDistribution;
 use ftsim_tensor::nn::{AdamW, ExpertKind, Linear, MoeLayer};
-use ftsim_tensor::{ops, Activation, Tensor, Var};
+use ftsim_tensor::{ops, pool, Activation, Shape, Tensor, Var};
 use ftsim_workload::task::{SyntheticTask, TaskSample};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::DerefMut;
+use std::sync::{mpsc, Mutex, RwLock};
 
 /// Configuration of one training run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,7 +39,7 @@ pub struct MoeTrainConfig {
     pub batch: usize,
     /// Microbatch size for the data-parallel training step: each batch is
     /// split into a fixed grid of `microbatch`-sized slices whose gradients
-    /// are computed by up to `FTSIM_THREADS` workers and combined by a
+    /// are computed by up to `FTSIM_THREADS` step workers and combined by a
     /// deterministic tree reduction. `0` (the serde default, for configs
     /// written before this field existed) means one microbatch per batch —
     /// bit-identical to the historical single-threaded full-batch step.
@@ -156,10 +158,10 @@ impl Classifier {
         }
     }
 
-    /// Rebuilds the classifier from a parameter snapshot, in the order
+    /// Rebuilds the classifier from parameter tensors, in the order
     /// [`Classifier::parameters`] reports it. `Var` graphs are thread-local
-    /// (`Rc`-based), so each data-parallel worker reconstructs its own
-    /// replica from the `Send` tensor snapshot instead of sharing variables.
+    /// (`Rc`-based), so each step helper builds its own replica once, from
+    /// tensors it creates on its own thread.
     fn from_parameters(cfg: &MoeTrainConfig, params: &mut impl Iterator<Item = Tensor>) -> Self {
         let input = Linear::from_parts(
             params.next().expect("input weight"),
@@ -188,8 +190,8 @@ impl Classifier {
     /// Forward pass with an explicit kernel choice: `fused = true` runs
     /// every linear layer through `Var::linear_act` — the fused
     /// matmul+bias+activation forward on the register-tiled microkernel,
-    /// with the streaming backward epilogue that never materializes the
-    /// pre-activation gradient (the production path) — while
+    /// whose backward is one graph node running both gradient products on
+    /// the same microkernel (the production path) — while
     /// `fused = false` composes the naive ops. The two are bit-identical
     /// in values and gradients.
     fn forward_with(&self, x: &Var, fused: bool) -> Var {
@@ -286,6 +288,12 @@ pub fn train_with_kernels(
 /// `cfg.microbatch`, per-microbatch gradients are computed on thread-local
 /// model replicas, and the combine is a fixed-order pairwise tree over the
 /// microbatch index — the reduction shape never depends on `threads`.
+///
+/// The step workers live for the whole call: the calling thread is worker
+/// 0 and trains the real parameters, and `min(threads, grid) − 1` helpers
+/// (`grid` = microbatches in the largest step) are spawned once, in a
+/// thread scope around the epoch loop. A helper that panics makes this
+/// call panic.
 pub fn train_with_options(
     task: &SyntheticTask,
     cfg: &MoeTrainConfig,
@@ -311,34 +319,43 @@ pub fn train_with_options(
     let routing_before = model.routing(&eval_set.features);
     publish_routing(&routing_before);
 
-    let mut curve = Vec::with_capacity(cfg.epochs);
     let mut order: Vec<usize> = (0..train_set.len()).collect();
-    for epoch in 1..=cfg.epochs {
-        let _epoch_span = ftsim_obs::span_lazy("sim.train", || format!("epoch:{epoch}"));
-        let epoch_start = ftsim_obs::enabled().then(std::time::Instant::now);
-        order.shuffle(&mut rng);
-        let mut losses = Vec::new();
-        for chunk in order.chunks(cfg.batch) {
-            let _step_span = ftsim_obs::span("sim.train", "step");
-            let loss_value = train_step(cfg, &params, &mut opt, &train_set, chunk, fused, threads);
-            losses.push(loss_value);
-            ftsim_obs::registry().gauge_set("sim.train.loss", loss_value);
-            ftsim_obs::registry().counter_add("sim.train.steps", 1);
-        }
-        ftsim_obs::registry().gauge_set("sim.train.epoch", epoch as f64);
-        if let Some(start) = epoch_start {
-            let secs = start.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                ftsim_obs::registry()
-                    .gauge_set("sim.train.tokens_per_sec", train_set.len() as f64 / secs);
+    let grid = order
+        .chunks(cfg.batch.max(1))
+        .next()
+        .map_or(1, |chunk| micro_grid(cfg, chunk).len());
+    let workers = threads.clamp(1, grid);
+    let shared = StepShared::new(&params, grid);
+    let curve = with_step_workers(cfg, fused, &train_set, &shared, workers, |step, helpers| {
+        let mut curve = Vec::with_capacity(cfg.epochs);
+        for epoch in 1..=cfg.epochs {
+            let _epoch_span = ftsim_obs::span_lazy("sim.train", || format!("epoch:{epoch}"));
+            let epoch_start = ftsim_obs::enabled().then(std::time::Instant::now);
+            order.shuffle(&mut rng);
+            let mut losses = Vec::new();
+            for chunk in order.chunks(cfg.batch) {
+                let _step_span = ftsim_obs::span("sim.train", "step");
+                let loss_value = step.train_step(&model, &params, &mut opt, chunk, helpers);
+                losses.push(loss_value);
+                ftsim_obs::registry().gauge_set("sim.train.loss", loss_value);
+                ftsim_obs::registry().counter_add("sim.train.steps", 1);
             }
+            ftsim_obs::registry().gauge_set("sim.train.epoch", epoch as f64);
+            if let Some(start) = epoch_start {
+                let secs = start.elapsed().as_secs_f64();
+                if secs > 0.0 {
+                    ftsim_obs::registry()
+                        .gauge_set("sim.train.tokens_per_sec", train_set.len() as f64 / secs);
+                }
+            }
+            curve.push(EpochMetric {
+                epoch,
+                train_loss: losses.iter().sum::<f64>() / losses.len().max(1) as f64,
+                eval_accuracy: eval_accuracy(&model, &eval_set),
+            });
         }
-        curve.push(EpochMetric {
-            epoch,
-            train_loss: losses.iter().sum::<f64>() / losses.len().max(1) as f64,
-            eval_accuracy: eval_accuracy(&model, &eval_set),
-        });
-    }
+        curve
+    });
 
     let routing_after = model.routing(&eval_set.features);
     publish_routing(&routing_after);
@@ -351,101 +368,297 @@ pub fn train_with_options(
     }
 }
 
-/// One data-parallel optimizer step over `chunk` (indices into the
-/// training set); returns the chunk loss.
-///
-/// Deterministic-reduction contract (DESIGN.md "Kernel contracts"):
-///
-/// 1. The microbatch grid is `chunk.chunks(cfg.microbatch)` — fixed by the
-///    config, independent of `threads`.
-/// 2. Each microbatch's loss is scaled by its token share
-///    (`mb_len / chunk_len`), so the chunk gradient is the same weighted
-///    mean the full-batch step computes, and a single-microbatch grid
-///    (`microbatch == 0`) reproduces the historical full-batch step
-///    bitwise (`scale(1.0)` is exact).
-/// 3. Workers compute gradients on thread-local model replicas rebuilt
-///    from a parameter snapshot; [`crate::engine::parallel_map_with`]
-///    returns results in input order regardless of scheduling.
-/// 4. Per-parameter gradients and the loss are combined by a fixed-order
-///    pairwise tree over the microbatch index — adjacent pairs (0,1),
-///    (2,3), … reduced repeatedly — so the floating-point addition
-///    sequence is a function of the grid alone, never the thread count.
-fn train_step(
-    cfg: &MoeTrainConfig,
-    params: &[Var],
-    opt: &mut AdamW,
-    train_set: &TaskSample,
-    chunk: &[usize],
-    fused: bool,
-    threads: usize,
-) -> f64 {
+/// The microbatch grid of `chunk`: `cfg.microbatch`-sized slices in
+/// order, or one slice when `cfg.microbatch == 0`.
+fn micro_grid<'a>(cfg: &MoeTrainConfig, chunk: &'a [usize]) -> std::slice::Chunks<'a, usize> {
     let mb_len = if cfg.microbatch == 0 {
         chunk.len()
     } else {
         cfg.microbatch.min(chunk.len())
     };
-    let micro: Vec<(usize, &[usize])> = chunk.chunks(mb_len).enumerate().collect();
-    let chunk_len = chunk.len() as f32;
-    // Snapshot the parameter tensors once: `Tensor` is `Send`, `Var` is not.
-    let snapshot: Vec<Tensor> = params.iter().map(Var::value).collect();
-    let results = crate::engine::parallel_map_with(threads.min(micro.len()), &micro, |(w, idx)| {
-        let _mb_span = ftsim_obs::span_lazy("sim.train", || format!("microbatch:{w}"));
-        let (bx, by) = gather(train_set, idx);
-        let replica = Classifier::from_parameters(cfg, &mut snapshot.iter().cloned());
-        let rparams = replica.parameters();
-        let logits = replica.forward_with(&Var::constant(bx), fused);
-        let loss = logits
-            .cross_entropy(&by)
-            .expect("labels in range")
-            .scale(idx.len() as f32 / chunk_len);
-        let loss_value = loss.value().item();
-        loss.backward();
-        // Hand the accumulated grads back as Send tensors; parameters the
-        // microbatch never touched (inactive experts) stay `None`.
-        let grads: Vec<Option<Tensor>> = rparams.iter().map(Var::take_grad).collect();
-        (loss_value, grads)
-    });
-    let (loss, grads) = tree_reduce(results);
-    for (p, g) in params.iter().zip(grads) {
-        if let Some(g) = g {
-            p.seed_grad(g);
-        }
-    }
-    opt.step(params);
-    f64::from(loss)
+    chunk.chunks(mb_len)
 }
 
-/// Fixed-order pairwise tree reduction over per-microbatch results: reduces
-/// adjacent pairs (0,1), (2,3), … repeatedly until one remains. The
-/// addition order per parameter element depends only on the number of
-/// microbatches, which is what makes the step thread-count invariant.
-fn tree_reduce(mut layer: Vec<(f32, Vec<Option<Tensor>>)>) -> (f32, Vec<Option<Tensor>>) {
-    while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-        let mut pairs = layer.into_iter();
-        while let Some((loss_a, grads_a)) = pairs.next() {
-            match pairs.next() {
-                Some((loss_b, grads_b)) => {
-                    let grads = grads_a
-                        .into_iter()
-                        .zip(grads_b)
-                        .map(|(a, b)| match (a, b) {
-                            (Some(mut a), Some(b)) => {
-                                a.add_assign(&b).expect("gradient shapes match");
-                                Some(a)
-                            }
-                            (Some(a), None) => Some(a),
-                            (None, b) => b,
-                        })
-                        .collect();
-                    next.push((loss_a + loss_b, grads));
+/// The calling thread's handle on one step helper.
+struct Helper {
+    /// Starts the helper on the step published in [`StepShared::input`].
+    go: mpsc::Sender<()>,
+    /// Signals that the helper has filled its slots for the step. Each
+    /// helper has its own channel, so a helper that panics drops its
+    /// sender and the calling thread's `recv` fails instead of hanging.
+    done: mpsc::Receiver<()>,
+}
+
+/// Run-owned state the step workers share. Only plain `f32` data lives
+/// here: no `Tensor` crosses threads, so every buffer a thread takes from
+/// its pool goes back to that same pool.
+struct StepShared {
+    /// Parameter shapes, in [`Classifier::parameters`] order.
+    shapes: Vec<Shape>,
+    /// The step being trained, published by the calling thread.
+    input: RwLock<StepInput>,
+    /// One result slot per microbatch of the largest step.
+    slots: Vec<Mutex<GradSlot>>,
+}
+
+/// What a helper needs to run its share of a step.
+struct StepInput {
+    /// Parameter values after the last AdamW step.
+    params: Vec<Vec<f32>>,
+    /// The step's batch, as indices into the training set.
+    chunk: Vec<usize>,
+}
+
+impl StepShared {
+    fn new(params: &[Var], grid: usize) -> Self {
+        StepShared {
+            shapes: params.iter().map(Var::shape).collect(),
+            input: RwLock::new(StepInput {
+                params: vec![Vec::new(); params.len()],
+                chunk: Vec::new(),
+            }),
+            slots: (0..grid)
+                .map(|_| Mutex::new(GradSlot::new(params.len())))
+                .collect(),
+        }
+    }
+}
+
+/// Spawns the `workers − 1` step helpers of a run in a thread scope and
+/// runs `body` on the calling thread as worker 0. When `body` returns (or
+/// panics), dropping the helpers' channels makes them exit, and the scope
+/// joins them.
+fn with_step_workers<R>(
+    cfg: &MoeTrainConfig,
+    fused: bool,
+    train_set: &TaskSample,
+    shared: &StepShared,
+    workers: usize,
+    body: impl FnOnce(&StepWork<'_>, &[Helper]) -> R,
+) -> R {
+    let step = |worker| StepWork {
+        cfg,
+        fused,
+        train_set,
+        shared,
+        worker,
+        workers,
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<Helper> = (1..workers)
+            .map(|worker| {
+                let (go_tx, go_rx) = mpsc::channel();
+                let (done_tx, done_rx) = mpsc::channel();
+                let helper = step(worker);
+                scope.spawn(move || helper.helper_loop(&go_rx, &done_tx));
+                Helper {
+                    go: go_tx,
+                    done: done_rx,
                 }
-                None => next.push((loss_a, grads_a)),
+            })
+            .collect();
+        body(&step(0), &helpers)
+    })
+}
+
+/// One microbatch's loss and gradients, in plain run-owned storage that
+/// is reused step after step.
+struct GradSlot {
+    loss: f32,
+    /// Per parameter: the gradient values, meaningful where `present`.
+    grads: Vec<Vec<f32>>,
+    /// Per parameter: whether the microbatch touched it. An expert no
+    /// token was routed to has no gradient, which is not a zero gradient:
+    /// AdamW skips it, weight decay included.
+    present: Vec<bool>,
+}
+
+impl GradSlot {
+    fn new(params: usize) -> Self {
+        GradSlot {
+            loss: 0.0,
+            grads: vec![Vec::new(); params],
+            present: vec![false; params],
+        }
+    }
+
+    /// Takes the accumulated gradients off `params` and copies them into
+    /// this slot.
+    fn store(&mut self, loss: f32, params: &[Var]) {
+        self.loss = loss;
+        for ((p, buf), present) in params.iter().zip(&mut self.grads).zip(&mut self.present) {
+            let grad = p.take_grad();
+            *present = grad.is_some();
+            if let Some(g) = grad {
+                buf.clear();
+                buf.extend_from_slice(g.data());
             }
         }
-        layer = next;
     }
-    layer.pop().expect("at least one microbatch")
+
+    /// `self += other`: one pair of the reduction tree. Adds elementwise
+    /// where both have a gradient and takes `other`'s where only it has
+    /// one, exactly as the pairwise sum of `Option<Tensor>` gradients did.
+    fn absorb(&mut self, other: &mut GradSlot) {
+        self.loss += other.loss;
+        let mine = self.grads.iter_mut().zip(&mut self.present);
+        for ((a, a_present), (b, b_present)) in
+            mine.zip(other.grads.iter_mut().zip(&mut other.present))
+        {
+            match (*a_present, *b_present) {
+                (true, true) => {
+                    for (x, &y) in a.iter_mut().zip(b.iter()) {
+                        *x += y;
+                    }
+                }
+                (false, true) => {
+                    std::mem::swap(a, b);
+                    (*a_present, *b_present) = (true, false);
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Fixed-order pairwise tree reduction over per-microbatch slots, in
+/// place: at stride 1, 2, 4, … slot `i` (a multiple of twice the stride)
+/// absorbs slot `i + stride` when it exists, so adjacent pairs (0,1),
+/// (2,3), … are reduced repeatedly and an unpaired tail passes up
+/// unchanged. The sum ends in `slots[0]`. The addition order per element
+/// depends only on the number of microbatches, which is what makes the
+/// step thread-count invariant.
+fn tree_reduce_in_place<S: DerefMut<Target = GradSlot>>(slots: &mut [S]) {
+    let n = slots.len();
+    let mut stride = 1;
+    while stride < n {
+        for i in (0..n - stride).step_by(2 * stride) {
+            let (left, right) = slots.split_at_mut(i + stride);
+            left[i].absorb(&mut right[0]);
+        }
+        stride *= 2;
+    }
+}
+
+/// One step worker's view of the run.
+struct StepWork<'a> {
+    cfg: &'a MoeTrainConfig,
+    fused: bool,
+    train_set: &'a TaskSample,
+    shared: &'a StepShared,
+    /// This worker's index; it runs microbatches `i` with
+    /// `i % workers == worker`.
+    worker: usize,
+    workers: usize,
+}
+
+impl StepWork<'_> {
+    /// Runs this worker's microbatches of `chunk` on `model` (whose
+    /// parameters are `params`) and stores each one's loss and gradients
+    /// in its slot.
+    fn run_microbatches(&self, chunk: &[usize], model: &Classifier, params: &[Var]) {
+        let chunk_len = chunk.len() as f32;
+        let grid = micro_grid(self.cfg, chunk).enumerate();
+        for (i, idx) in grid.skip(self.worker).step_by(self.workers) {
+            let _mb_span = ftsim_obs::span_lazy("sim.train", || format!("microbatch:{i}"));
+            let (bx, by) = gather(self.train_set, idx);
+            let loss = model
+                .forward_with(&Var::constant(bx), self.fused)
+                .cross_entropy(&by)
+                .expect("labels in range")
+                .scale(idx.len() as f32 / chunk_len);
+            let loss_value = loss.with_value(Tensor::item);
+            loss.backward();
+            self.shared.slots[i]
+                .lock()
+                .expect("gradient slot poisoned")
+                .store(loss_value, params);
+        }
+    }
+
+    /// A helper's life: build its replica, then for each step bring it up
+    /// to the published parameters, run its microbatches and report, until
+    /// the calling thread hangs up.
+    fn helper_loop(&self, go: &mpsc::Receiver<()>, done: &mpsc::Sender<()>) {
+        let mut zeros = self.shared.shapes.iter().cloned().map(Tensor::zeros);
+        let model = Classifier::from_parameters(self.cfg, &mut zeros);
+        let params = model.parameters();
+        while go.recv().is_ok() {
+            let input = self.shared.input.read().expect("step input poisoned");
+            for (p, values) in params.iter().zip(&input.params) {
+                p.update_value(|t| t.data_mut().copy_from_slice(values));
+            }
+            self.run_microbatches(&input.chunk, &model, &params);
+            drop(input);
+            if done.send(()).is_err() {
+                break;
+            }
+        }
+    }
+
+    /// One data-parallel optimizer step over `chunk` (indices into the
+    /// training set), run by the calling thread as worker 0; returns the
+    /// chunk loss.
+    ///
+    /// Deterministic-reduction contract (DESIGN.md "Kernel contracts"):
+    ///
+    /// 1. The microbatch grid is `chunk.chunks(cfg.microbatch)` — fixed by
+    ///    the config, independent of `threads`.
+    /// 2. Each microbatch's loss is scaled by its token share
+    ///    (`mb_len / chunk_len`), so the chunk gradient is the same
+    ///    weighted mean the full-batch step computes, and a
+    ///    single-microbatch grid (`microbatch == 0`) reproduces the
+    ///    historical full-batch step bitwise (`scale(1.0)` is exact).
+    /// 3. Microbatch `i` runs on worker `i mod workers`: the calling thread
+    ///    on the real parameters, each helper on its replica, refreshed
+    ///    in place from the values published here before the step starts.
+    ///    Each result lands in the run-owned slot of its microbatch index.
+    /// 4. Per-parameter gradients and the loss are combined by a
+    ///    fixed-order pairwise tree over the microbatch index
+    ///    ([`tree_reduce_in_place`]), so the floating-point addition
+    ///    sequence is a function of the grid alone, never the thread count.
+    fn train_step(
+        &self,
+        model: &Classifier,
+        params: &[Var],
+        opt: &mut AdamW,
+        chunk: &[usize],
+        helpers: &[Helper],
+    ) -> f64 {
+        if !helpers.is_empty() {
+            let mut input = self.shared.input.write().expect("step input poisoned");
+            for (values, p) in input.params.iter_mut().zip(params) {
+                values.clear();
+                p.with_value(|t| values.extend_from_slice(t.data()));
+            }
+            input.chunk.clear();
+            input.chunk.extend_from_slice(chunk);
+            drop(input);
+            for helper in helpers {
+                // A helper that is gone is reported by its `done` below.
+                let _ = helper.go.send(());
+            }
+        }
+        self.run_microbatches(chunk, model, params);
+        for helper in helpers {
+            helper.done.recv().expect("a step worker panicked");
+        }
+        let n = micro_grid(self.cfg, chunk).len();
+        let mut slots: Vec<_> = self.shared.slots[..n]
+            .iter()
+            .map(|slot| slot.lock().expect("gradient slot poisoned"))
+            .collect();
+        tree_reduce_in_place(&mut slots);
+        let total = &slots[0];
+        for ((p, g), &present) in params.iter().zip(&total.grads).zip(&total.present) {
+            if present {
+                let grad = Tensor::new(p.shape(), pool::take_copy(g)).expect("gradient shape");
+                p.seed_grad(grad);
+            }
+        }
+        opt.step(params);
+        f64::from(total.loss)
+    }
 }
 
 fn gather(sample: &TaskSample, idx: &[usize]) -> (Tensor, Vec<usize>) {
@@ -659,21 +872,145 @@ mod tests {
         // grow nor shrink them. Shelf occupancy moves by returns − reuses.
         // The node arena parks the last graph values until their nodes are
         // reused; clearing it after each run hands those back as well, so
-        // the count sees every buffer the run touched.
+        // the count sees every buffer the run touched. With a helper, no
+        // tensor crosses threads, so the helper's buffers never land here,
+        // and static microbatch assignment makes the count deterministic.
         let task = SyntheticTask::commonsense(16, 4, 58);
         let mut cfg = small(MoeTrainConfig::mixtral_like(2));
         cfg.train_examples = 96;
         cfg.eval_examples = 64;
         cfg.epochs = 2;
-        let run = || {
-            train_with_options(&task, &cfg, "pool", true, 1);
-            ftsim_tensor::autograd::arena_clear();
-            let stats = ftsim_tensor::pool::stats();
-            stats.returns - stats.reuses
-        };
-        let warm = run();
-        for call in 1..=3 {
-            assert_eq!(run(), warm, "pool shelves changed on call {call}");
+        for threads in [1, 2] {
+            let run = || {
+                train_with_options(&task, &cfg, "pool", true, threads);
+                ftsim_tensor::autograd::arena_clear();
+                let stats = ftsim_tensor::pool::stats();
+                stats.returns - stats.reuses
+            };
+            let warm = run();
+            for call in 1..=3 {
+                assert_eq!(
+                    run(),
+                    warm,
+                    "pool shelves changed on call {call} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// One step of an 8-example batch in two microbatches at two workers,
+    /// with an out-of-range label planted in example `bad`: the worker that
+    /// runs its microbatch panics in the loss.
+    fn step_with_bad_label(bad: usize) {
+        let task = SyntheticTask::commonsense(16, 4, 59);
+        let mut cfg = MoeTrainConfig::mixtral_like(2);
+        cfg.batch = 8;
+        cfg.microbatch = 4;
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let model = Classifier::new(task.dim(), task.classes(), &cfg, &mut rng);
+        let params = model.parameters();
+        let mut opt = AdamW::new(cfg.lr, params.len());
+        let mut train_set = task.sample(8, &mut rng);
+        train_set.labels[bad] = task.classes();
+        let shared = StepShared::new(&params, 2);
+        let chunk: Vec<usize> = (0..8).collect();
+        with_step_workers(&cfg, true, &train_set, &shared, 2, |step, helpers| {
+            step.train_step(&model, &params, &mut opt, &chunk, helpers)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a step worker panicked")]
+    fn a_panicking_helper_panics_the_calling_thread() {
+        // Example 6 is in microbatch 1, the helper's.
+        step_with_bad_label(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "labels in range")]
+    fn a_panicking_calling_thread_releases_its_helpers() {
+        // Example 1 is in microbatch 0, the calling thread's; the helper
+        // must exit so the scope can join it and the panic can surface.
+        step_with_bad_label(1);
+    }
+
+    /// The pairwise tree reduction the step used before its results moved
+    /// into run-owned slots, kept as the reference for the in-place one.
+    fn tree_reduce(mut layer: Vec<(f32, Vec<Option<Tensor>>)>) -> (f32, Vec<Option<Tensor>>) {
+        while layer.len() > 1 {
+            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
+            let mut pairs = layer.into_iter();
+            while let Some((loss_a, grads_a)) = pairs.next() {
+                match pairs.next() {
+                    Some((loss_b, grads_b)) => {
+                        let grads = grads_a
+                            .into_iter()
+                            .zip(grads_b)
+                            .map(|(a, b)| match (a, b) {
+                                (Some(mut a), Some(b)) => {
+                                    a.add_assign(&b).expect("gradient shapes match");
+                                    Some(a)
+                                }
+                                (Some(a), None) => Some(a),
+                                (None, b) => b,
+                            })
+                            .collect();
+                        next.push((loss_a + loss_b, grads));
+                    }
+                    None => next.push((loss_a, grads_a)),
+                }
+            }
+            layer = next;
+        }
+        layer.pop().expect("at least one microbatch")
+    }
+
+    #[test]
+    fn slot_reduction_is_the_pairwise_tree() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(61);
+        let lens = [5usize, 1, 17, 8];
+        for n in 1..=9 {
+            for _ in 0..4 {
+                let results: Vec<(f32, Vec<Option<Tensor>>)> = (0..n)
+                    .map(|_| {
+                        let loss = rng.gen_range(-2.0f32..2.0);
+                        let grads = lens
+                            .iter()
+                            .map(|&len| {
+                                (rng.gen_range(0..10) < 7).then(|| {
+                                    let data = (0..len).map(|_| rng.gen_range(-1.0f32..1.0));
+                                    Tensor::new([1, len], data.collect()).unwrap()
+                                })
+                            })
+                            .collect();
+                        (loss, grads)
+                    })
+                    .collect();
+                let mut slots: Vec<GradSlot> = results
+                    .iter()
+                    .map(|(loss, grads)| GradSlot {
+                        loss: *loss,
+                        grads: grads
+                            .iter()
+                            .map(|g| g.as_ref().map_or_else(Vec::new, |t| t.data().to_vec()))
+                            .collect(),
+                        present: grads.iter().map(Option::is_some).collect(),
+                    })
+                    .collect();
+                let (loss, grads) = tree_reduce(results);
+                let mut refs: Vec<&mut GradSlot> = slots.iter_mut().collect();
+                tree_reduce_in_place(&mut refs);
+                let total = &slots[0];
+                assert_eq!(total.loss.to_bits(), loss.to_bits(), "loss at n = {n}");
+                for (i, g) in grads.iter().enumerate() {
+                    assert_eq!(total.present[i], g.is_some(), "presence of {i} at n = {n}");
+                    if let Some(g) = g {
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&total.grads[i]), bits(g.data()), "grad {i} at n = {n}");
+                    }
+                }
+            }
         }
     }
 

@@ -259,9 +259,8 @@ impl Var {
     /// Removes and returns the accumulated gradient, leaving `None` behind.
     ///
     /// This is the hand-off point of the data-parallel training step: a
-    /// microbatch worker takes the gradients off its thread-local replica
-    /// (as plain [`Tensor`]s, which are `Send`) so the main thread can
-    /// tree-reduce them across workers.
+    /// step worker takes each microbatch's gradients off its model and
+    /// copies them into that microbatch's slot for the tree reduction.
     pub fn take_grad(&self) -> Option<Tensor> {
         self.node.borrow_mut().grad.take()
     }
@@ -664,13 +663,11 @@ impl Var {
     /// epilogue applies the bias and activation while each output tile is
     /// cache-hot, saving the pre-activation values for the backward pass.
     ///
-    /// The backward pass is fused too: at training-step scale it streams
-    /// `act'` row by row into the `d bias` / `d self` / `d weight` sweeps
-    /// (see `parallel::linear_act_backward_into`), so the intermediate
-    /// `dpre = up ⊙ act'(pre)` tensor — and the operand transposes the
-    /// materialized path needs — are never built. Above the parallel-matmul
-    /// threshold it falls back to the materialized path, whose row-
-    /// partitioned matmuls win at those shapes; the two are bit-identical.
+    /// The backward pass is fused too (see
+    /// `parallel::linear_act_backward_into`): `dpre = up ⊙ act'(pre)` is
+    /// built once in pooled scratch, and `d self = dpre @ weightᵀ` and
+    /// `d weight = selfᵀ @ dpre` run on the matmul microkernel against
+    /// pooled transposes, with no intermediate graph nodes.
     ///
     /// Bit-identical — values and accumulated gradients — to the composed
     /// chain `self.matmul(weight)?.add_row(bias)?.activate(act)`: the kernel
@@ -1099,13 +1096,9 @@ fn linear_act_forward(
 
 /// Gradients `(d bias, d x, d weight)` of `y = act(xv @ wv + b)` for the
 /// upstream gradient `up`; `need` selects which of the three to compute.
-///
-/// Below the parallel-matmul threshold this is the streaming epilogue
-/// (`parallel::linear_act_backward_into`), which folds `act'` into the
-/// three sweeps without materializing `dpre` or the operand transposes.
-/// Above it, `dpre = up ⊙ act'(pre)` is built and the two gradient matmuls
-/// run through the row-partitioned microkernel. The two paths accumulate
-/// every gradient element in the same order, so they are bit-identical.
+/// One path at every shape: `parallel::linear_act_backward_into`, which
+/// builds `dpre = up ⊙ act'(pre)` once and runs both gradient products on
+/// the (row-partitioned, above the threading threshold) microkernel.
 fn linear_act_grads(
     xv: &Tensor,
     wv: &Tensor,
@@ -1117,56 +1110,22 @@ fn linear_act_grads(
     let [need_db, need_dx, need_dw] = need;
     let (m, k) = xv.shape().as_matrix().expect("matrix");
     let (_, n) = wv.shape().as_matrix().expect("matrix");
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if flops < crate::parallel::PARALLEL_FLOP_THRESHOLD {
-        let mut db = need_db.then(|| Tensor::zeros(Shape::matrix(1, n)));
-        let mut dx = need_dx.then(|| Tensor::zeros(Shape::matrix(m, k)));
-        let mut dw = need_dw.then(|| Tensor::zeros(Shape::matrix(k, n)));
-        crate::parallel::linear_act_backward_into(
-            up.data(),
-            pre.map(Tensor::data),
-            act,
-            xv.data(),
-            wv.data(),
-            db.as_mut().map(Tensor::data_mut),
-            dx.as_mut().map(Tensor::data_mut),
-            dw.as_mut().map(Tensor::data_mut),
-            m,
-            k,
-            n,
-        );
-        return (db, dx, dw);
-    }
-    // dpre = up ⊙ act'(pre); for Identity, up itself.
-    let owned;
-    let dpre: &Tensor = match pre {
-        Some(pre_t) => {
-            owned = up
-                .zip(pre_t, "linear_act", |g, p| g * act.grad(p))
-                .expect("same shape");
-            &owned
-        }
-        None => up,
-    };
-    let db = need_db.then(|| {
-        let mut db = Tensor::zeros(Shape::matrix(1, n));
-        for r in 0..m {
-            for c in 0..n {
-                db.set2(0, c, db.get2(0, c) + dpre.get2(r, c));
-            }
-        }
-        db
-    });
-    let dx = need_dx.then(|| {
-        dpre.matmul(&wv.transpose().expect("matrix"))
-            .expect("conforming")
-    });
-    let dw = need_dw.then(|| {
-        xv.transpose()
-            .expect("matrix")
-            .matmul(dpre)
-            .expect("conforming")
-    });
+    let mut db = need_db.then(|| Tensor::zeros(Shape::matrix(1, n)));
+    let mut dx = need_dx.then(|| Tensor::zeros(Shape::matrix(m, k)));
+    let mut dw = need_dw.then(|| Tensor::zeros(Shape::matrix(k, n)));
+    crate::parallel::linear_act_backward_into(
+        up.data(),
+        pre.map(Tensor::data),
+        act,
+        xv.data(),
+        wv.data(),
+        db.as_mut().map(Tensor::data_mut),
+        dx.as_mut().map(Tensor::data_mut),
+        dw.as_mut().map(Tensor::data_mut),
+        m,
+        k,
+        n,
+    );
     (db, dx, dw)
 }
 

@@ -97,9 +97,9 @@ impl Linear {
     /// [`Linear::parameters`] reports them (weight, then bias).
     ///
     /// This is how the data-parallel trainer constructs per-thread model
-    /// replicas: `Var` graphs are thread-local (`Rc`-based), so workers
-    /// rebuild the model from a `Send` parameter snapshot instead of
-    /// sharing variables.
+    /// replicas: `Var` graphs are thread-local (`Rc`-based), so each step
+    /// helper builds its own model from tensors it creates on its thread
+    /// instead of sharing variables.
     ///
     /// # Panics
     ///

@@ -11,11 +11,10 @@
 //!   and the reference the production kernel must match bit-for-bit.
 //! * [`matmul_microkernel_into`] — the production kernel: cache-blocked
 //!   over the inner dimension and tiled into fixed `MR`×`NR` register
-//!   accumulators. Its band tiles, the fused epilogue's bias add, and the
-//!   backward epilogue's `db`/`dx`/`dw` sweeps dispatch at runtime to explicit
-//!   AVX2 bodies in [`crate::simd`] when the host supports them, with the
-//!   scalar tiles as the always-compiled fallback (`FTSIM_NO_SIMD=1`
-//!   forces it).
+//!   accumulators. Its band tiles and the bias adds of the fused forward
+//!   and backward epilogues dispatch at runtime to explicit AVX2 bodies in
+//!   [`crate::simd`] when the host supports them, with the scalar tiles as
+//!   the always-compiled fallback (`FTSIM_NO_SIMD=1` forces it).
 //!
 //! The contract: every output element accumulates its products in
 //! ascending inner-index (`p`) order, skipping terms whose *lhs* factor is
@@ -49,9 +48,7 @@ pub(crate) const NR: usize = 8;
 pub(crate) const MR: usize = 6;
 
 /// Below this many multiply-adds the thread-spawn overhead outweighs the
-/// work; run on the calling thread. The autograd fused backward uses the
-/// same threshold to decide between the streaming epilogue and the
-/// materialized (threadable) matmul path.
+/// work; run on the calling thread.
 pub(crate) const PARALLEL_FLOP_THRESHOLD: usize = 1 << 20;
 
 /// Worker threads to use: `FTSIM_THREADS` if set to a positive integer,
@@ -321,20 +318,6 @@ pub(crate) fn add_assign_slices(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// `dst[j] += a * src[j]`, SIMD-dispatched with mul-then-add rounding on
-/// both paths (never fmadd), so the two bodies are bit-identical.
-pub(crate) fn axpy_slices(dst: &mut [f32], a: f32, src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    if crate::simd::active() {
-        // SAFETY: runtime-verified AVX2 support; equal lengths asserted.
-        unsafe { crate::simd::axpy(dst, a, src) }
-        return;
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += a * s;
-    }
-}
-
 /// Bias + activation epilogue over a block of freshly-computed matmul output
 /// rows, applied while the tile is still cache-hot: each element becomes
 /// `act(v + bias[j])`, and the post-bias pre-activation value is optionally
@@ -413,7 +396,7 @@ pub(crate) fn matmul_bias_act_into(
     });
 }
 
-/// Streaming fused backward epilogue for `y = act(x @ w + b)`.
+/// Fused backward epilogue for `y = act(x @ w + b)`.
 ///
 /// Given the upstream gradient `up[m×n]` and the saved pre-activation
 /// `pre[m×n]` (`None` means the activation was `Identity`), accumulates
@@ -422,12 +405,13 @@ pub(crate) fn matmul_bias_act_into(
 /// * `dx[m×k]  = dpre @ wᵀ`                   (input gradient)
 /// * `dw[k×n]  = xᵀ @ dpre`                   (weight gradient)
 ///
-/// where `dpre[r][j] = up[r][j] · act'(pre[r][j])` — but `dpre` is never
-/// materialized as an `m×n` tensor. Instead a single row is recomputed per
-/// input row into pooled scratch and folded straight into the three
-/// accumulations. Each output is optional: pass `None` for operands that
-/// do not require gradients and the corresponding sweep is skipped
-/// entirely.
+/// where `dpre[r][j] = up[r][j] · act'(pre[r][j])`. `dpre` is computed once
+/// into a pooled buffer (for `Identity` it is `up` itself), and both
+/// gradient products run through [`matmul_into`] — the register-tiled
+/// microkernel, row-partitioned across threads at large shapes — against
+/// pooled transposes `wᵀ[n×k]` and `xᵀ[k×m]`. Each output is optional:
+/// pass `None` for operands that do not require gradients and the
+/// corresponding product (and its transpose) is skipped entirely.
 ///
 /// Bit-identity with the composed path (`dpre = up ⊙ act'(pre)` followed by
 /// `dpre @ wᵀ` / `xᵀ @ dpre` matmuls and the row-sum bias reduction):
@@ -435,17 +419,10 @@ pub(crate) fn matmul_bias_act_into(
 /// * `db[j]` adds `dpre[r][j]` in ascending `r` — the row-sum order.
 /// * `dx[r][c]` accumulates `dpre[r][p] · w[c][p]` in ascending `p`,
 ///   skipping zero `dpre` factors — the matmul contract with `dpre` as lhs.
-///   The sweep vectorizes across `c`, not `p`: `w` is transposed once into
-///   pooled `[n×k]` scratch, and for each ascending `p` with a nonzero
-///   `dpre[r][p]` the whole `dx` row takes one mul-then-add axpy against
-///   `wᵀ[p]`. Each element still sees the same products in the same order.
 /// * `dw[c][j]` accumulates `x[r][c] · dpre[r][j]` in ascending `r`,
 ///   skipping zero `x` factors — the matmul contract with `xᵀ` as lhs.
 ///
-/// All three outputs must be zero-initialized. Serial by design: this is
-/// the small/medium-shape path (the per-step training hot loop); callers
-/// fall back to the materialized matmul path — bit-identical by the above —
-/// when shapes are large enough for row-partitioned threading to win.
+/// All three outputs must be zero-initialized.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn linear_act_backward_into(
     up: &[f32],
@@ -453,9 +430,9 @@ pub(crate) fn linear_act_backward_into(
     act: crate::ops::Activation,
     x: &[f32],
     w: &[f32],
-    mut db: Option<&mut [f32]>,
-    mut dx: Option<&mut [f32]>,
-    mut dw: Option<&mut [f32]>,
+    db: Option<&mut [f32]>,
+    dx: Option<&mut [f32]>,
+    dw: Option<&mut [f32]>,
     m: usize,
     k: usize,
     n: usize,
@@ -463,74 +440,51 @@ pub(crate) fn linear_act_backward_into(
     assert_eq!(up.len(), m * n, "upstream gradient length");
     assert_eq!(x.len(), m * k, "input length");
     assert_eq!(w.len(), k * n, "weight length");
-    if let Some(d) = db.as_deref() {
-        assert_eq!(d.len(), n, "bias gradient length");
-    }
-    if let Some(d) = dx.as_deref() {
-        assert_eq!(d.len(), m * k, "input gradient length");
-    }
-    if let Some(d) = dw.as_deref() {
-        assert_eq!(d.len(), k * n, "weight gradient length");
-    }
     if let Some(p) = pre {
         assert_eq!(p.len(), m * n, "pre-activation length");
     }
-    let mut dpre_row = crate::pool::take_zeroed(n);
-    // wt[p][c] = w[c][p], so each dx axpy reads one contiguous row.
-    let wt = dx.is_some().then(|| {
-        let mut wt = crate::pool::take_zeroed(n * k);
-        // Contiguous reads of `w`, strided writes: the faster direction at
-        // training shapes. With `n == 0`, `w` is empty and nothing is copied.
-        for (c, w_row) in w.chunks_exact(n.max(1)).enumerate() {
-            for (p, &v) in w_row.iter().enumerate() {
-                wt[p * k + c] = v;
-            }
-        }
-        wt
+    let dpre_buf = pre.map(|pre| {
+        let mut dpre = crate::pool::take(m * n);
+        dpre.extend(up.iter().zip(pre).map(|(&g, &p)| g * act.grad(p)));
+        dpre
     });
-    for r in 0..m {
-        let up_row = &up[r * n..(r + 1) * n];
-        match pre {
-            Some(pre_all) => {
-                let pre_row = &pre_all[r * n..(r + 1) * n];
-                for ((d, &g), &p) in dpre_row.iter_mut().zip(up_row).zip(pre_row) {
-                    *d = g * act.grad(p);
-                }
-            }
-            None => dpre_row.copy_from_slice(up_row),
-        }
-        if let Some(db) = db.as_deref_mut() {
-            // Lane-parallel over j: ascending-r order per element preserved.
-            add_assign_slices(db, &dpre_row);
-        }
-        if let (Some(dx), Some(wt)) = (dx.as_deref_mut(), wt.as_deref()) {
-            // Lane-parallel axpy over c: ascending-p order per element,
-            // with the dpre-as-lhs zero-skip on the broadcast factor.
-            let dx_row = &mut dx[r * k..(r + 1) * k];
-            for (p, &g) in dpre_row.iter().enumerate() {
-                if g == 0.0 {
-                    continue;
-                }
-                axpy_slices(dx_row, g, &wt[p * k..(p + 1) * k]);
-            }
-        }
-        if let Some(dw) = dw.as_deref_mut() {
-            let x_row = &x[r * k..(r + 1) * k];
-            for (c, &a) in x_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                // Lane-parallel axpy over j: ascending-r order per element,
-                // with the xᵀ-as-lhs zero-skip handled on the broadcast
-                // factor above — identical to the scalar sweep.
-                axpy_slices(&mut dw[c * n..(c + 1) * n], a, &dpre_row);
-            }
+    let dpre = dpre_buf.as_deref().unwrap_or(up);
+    if let Some(db) = db {
+        assert_eq!(db.len(), n, "bias gradient length");
+        // Lane-parallel over j: ascending-r order per element preserved.
+        for dpre_row in dpre.chunks_exact(n.max(1)) {
+            add_assign_slices(db, dpre_row);
         }
     }
-    crate::pool::give(dpre_row);
-    if let Some(wt) = wt {
+    if let Some(dx) = dx {
+        assert_eq!(dx.len(), m * k, "input gradient length");
+        let wt = transpose_pooled(w, k, n);
+        matmul_into(dpre, &wt, dx, m, n, k);
         crate::pool::give(wt);
     }
+    if let Some(dw) = dw {
+        assert_eq!(dw.len(), k * n, "weight gradient length");
+        let xt = transpose_pooled(x, m, k);
+        matmul_into(&xt, dpre, dw, k, m, n);
+        crate::pool::give(xt);
+    }
+    if let Some(dpre) = dpre_buf {
+        crate::pool::give(dpre);
+    }
+}
+
+/// The transpose `[cols×rows]` of the row-major `src[rows×cols]`, in a
+/// buffer from the thread's pool.
+fn transpose_pooled(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = crate::pool::take_zeroed(rows * cols);
+    // Contiguous reads, strided writes: the faster direction at training
+    // shapes. With `cols == 0`, `src` is empty and nothing is copied.
+    for (r, src_row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in src_row.iter().enumerate() {
+            t[c * rows + r] = v;
+        }
+    }
+    t
 }
 
 #[cfg(test)]
@@ -686,38 +640,25 @@ mod tests {
     }
 
     #[test]
-    fn simd_helpers_match_scalar_sweeps_bitwise() {
-        // add_assign / axpy across lengths covering the vector body and the
-        // scalar tail, under both forced dispatch modes.
+    fn simd_add_assign_matches_scalar_sweep_bitwise() {
+        // Lengths covering the vector body and the scalar tail, under both
+        // forced dispatch modes.
         for len in [1usize, 7, 8, 9, 16, 31, 64, 100] {
             let src = pseudo_data(len, 71);
             let base = pseudo_data(len, 73);
-            let mut expect_add = base.clone();
-            for (d, &s) in expect_add.iter_mut().zip(&src) {
+            let mut expect = base.clone();
+            for (d, &s) in expect.iter_mut().zip(&src) {
                 *d += s;
-            }
-            let a = 0.37f32;
-            let mut expect_axpy = base.clone();
-            for (d, &s) in expect_axpy.iter_mut().zip(&src) {
-                *d += a * s;
             }
             for forced in [Some(false), Some(true)] {
                 crate::simd::force(forced);
                 let mut add = base.clone();
                 add_assign_slices(&mut add, &src);
-                let mut axpy = base.clone();
-                axpy_slices(&mut axpy, a, &src);
                 assert!(
                     add.iter()
-                        .zip(&expect_add)
+                        .zip(&expect)
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
                     "add_assign diverged at len {len} (forced {forced:?})"
-                );
-                assert!(
-                    axpy.iter()
-                        .zip(&expect_axpy)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "axpy diverged at len {len} (forced {forced:?})"
                 );
             }
             crate::simd::force(None);
@@ -915,7 +856,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_backward_epilogue_matches_composed_path_bitwise() {
+    fn backward_epilogue_matches_composed_path_bitwise() {
         use crate::ops::Activation;
         for (forced, (m, k, n)) in [Some(false), Some(true), None]
             .into_iter()
@@ -935,6 +876,9 @@ mod tests {
                     // Empty inner and output dimensions.
                     (3, 0, 4),
                     (2, 5, 0),
+                    // Above PARALLEL_FLOP_THRESHOLD: both products fan row
+                    // blocks out across the worker threads.
+                    (48, 96, 128),
                 ]
                 .into_iter()
                 .map(move |shape| (f, shape))

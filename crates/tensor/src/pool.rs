@@ -337,27 +337,6 @@ impl<T> Pool<T> {
         self.shelves.lock().expect("pool mutex").clear();
     }
 
-    /// Removes and returns every shelf, leaving the pool empty. Counters
-    /// are untouched: moving warm buffers elsewhere is neither a return
-    /// nor a discard.
-    fn take_shelves(&self) -> FxMap<usize, Vec<Vec<T>>> {
-        std::mem::take(&mut *self.shelves.lock().expect("pool mutex"))
-    }
-
-    /// Merges shelves donated by another pool, respecting [`SHELF_CAP`]
-    /// per bucket (overflow is dropped). Counters are untouched — adopted
-    /// buffers were already accounted for when their original owner gave
-    /// them back.
-    fn adopt_shelves(&self, incoming: FxMap<usize, Vec<Vec<T>>>) {
-        let mut shelves = self.shelves.lock().expect("pool mutex");
-        for (bucket, mut bufs) in incoming {
-            let shelf = shelves.entry(bucket).or_default();
-            let room = SHELF_CAP.saturating_sub(shelf.len());
-            bufs.truncate(room);
-            shelf.append(&mut bufs);
-        }
-    }
-
     /// Number of buffers currently shelved across all buckets.
     pub fn resident(&self) -> usize {
         self.shelves
@@ -475,55 +454,6 @@ pub fn clear() {
     let _ = POOL.try_with(BufferPool::clear);
 }
 
-/// Most donations the global stash retains; beyond this, an exiting
-/// thread's shelves simply drop as they did before stashing existed.
-const STASH_CAP: usize = 32;
-
-/// Warm shelves handed back by exiting worker threads, waiting to be
-/// adopted by the next worker generation (see [`stash_donate`] /
-/// [`stash_adopt`]).
-static STASH: Mutex<Vec<FxMap<usize, Vec<Vec<f32>>>>> = Mutex::new(Vec::new());
-
-/// Moves the current thread's shelved buffers into the global stash, so a
-/// future worker thread can [`stash_adopt`] them instead of re-allocating.
-///
-/// Intended for short-lived worker threads (e.g. the scoped workers
-/// `ftsim_sim::parallel_map_with` spawns per call): without this, every
-/// worker generation's thread-local pool dies with the thread and the next
-/// generation pays the fresh-allocation churn all over again. Donating is
-/// counter-neutral — the buffers were already accounted as returns when
-/// they were given back. No-op when the thread's shelves are empty or when
-/// the stash is full (the shelves then drop exactly as they would have
-/// without stashing).
-pub fn stash_donate() {
-    let Ok(shelves) = POOL.try_with(Pool::take_shelves) else {
-        return;
-    };
-    if shelves.is_empty() {
-        return;
-    }
-    let mut stash = STASH.lock().expect("stash mutex");
-    if stash.len() < STASH_CAP {
-        stash.push(shelves);
-    }
-}
-
-/// Adopts one stashed donation (if any) into the current thread's pool,
-/// pre-warming its shelves with buffers a previous worker generation
-/// already allocated. Counter-neutral, like [`stash_donate`]; the benefit
-/// shows up as reuses-instead-of-fresh-allocs on this thread's next takes.
-pub fn stash_adopt() {
-    let donation = STASH.lock().expect("stash mutex").pop();
-    if let Some(donation) = donation {
-        let _ = POOL.try_with(|p| p.adopt_shelves(donation));
-    }
-}
-
-/// Number of donations currently waiting in the global stash.
-pub fn stash_len() -> usize {
-    STASH.lock().expect("stash mutex").len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,62 +501,6 @@ mod tests {
         assert_eq!(c.as_ptr(), ptr, "expected the same storage back");
         let s = pool.stats();
         assert_eq!((s.fresh_allocs, s.reuses), (1, 2));
-    }
-
-    /// The stash is process-global, so the stash tests are serialized and
-    /// each starts from an empty stash.
-    static STASH_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn drain_stash() {
-        while stash_len() > 0 {
-            stash_adopt();
-        }
-    }
-
-    #[test]
-    fn stash_hands_warm_shelves_across_threads() {
-        let _guard = STASH_TEST_LOCK.lock().unwrap();
-        drain_stash();
-        // A distinctive bucket size no other test uses, so the donation we
-        // adopt below is unambiguously ours.
-        const LEN: usize = (1 << 21) + 17;
-        let warm = take_zeroed(LEN);
-        let ptr = warm.as_ptr() as usize;
-        give(warm);
-        stash_donate();
-        assert_eq!(stash_len(), 1);
-        // A fresh thread has an empty pool; after adopting, the very first
-        // take of the donated bucket is a reuse of the donor's storage.
-        std::thread::spawn(move || {
-            let before = stats();
-            stash_adopt();
-            let v = take_zeroed(LEN);
-            assert_eq!(v.as_ptr() as usize, ptr, "expected the donated storage");
-            let s = stats();
-            assert_eq!(s.fresh_allocs, before.fresh_allocs, "no fresh alloc");
-            assert_eq!(s.reuses, before.reuses + 1);
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn stash_respects_its_capacity_bound() {
-        let _guard = STASH_TEST_LOCK.lock().unwrap();
-        drain_stash();
-        // Donations beyond STASH_CAP drop silently (the same fate the
-        // shelves had before stashing existed). Run in a private thread so
-        // only that thread's shelves are donated, never another test's.
-        std::thread::spawn(|| {
-            for _ in 0..STASH_CAP + 4 {
-                give(take_zeroed(32));
-                stash_donate();
-            }
-            assert_eq!(stash_len(), STASH_CAP);
-        })
-        .join()
-        .unwrap();
-        drain_stash();
     }
 
     #[test]

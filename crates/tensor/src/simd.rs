@@ -4,8 +4,8 @@
 //! autovectorizer emits fixed-width FMA loops, but on the baseline x86-64
 //! target that means 4-lane SSE. This module supplies explicit 8-lane
 //! `std::arch` AVX2 bodies for the hot inner loops — the `MR`×`NR` matmul
-//! register tile, the bias-add epilogue, and the lane-parallel sweeps of the
-//! fused backward epilogue — selected by a one-time runtime CPUID check.
+//! register tile and the bias adds of the fused forward and backward
+//! epilogues — selected by a one-time runtime CPUID check.
 //!
 //! ## Dispatch rules
 //!
@@ -102,7 +102,7 @@ pub fn force(mode: Option<bool>) {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86::{add_assign, axpy, band_tiles};
+pub(crate) use x86::{add_assign, band_tiles};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -250,34 +250,6 @@ mod x86 {
             }
         }
     }
-
-    /// AVX2 `dst[j] += a * src[j]` with mul-then-add rounding (no fmadd):
-    /// bit-identical to the scalar loop for any length.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee AVX2 support and `dst.len() == src.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn axpy(dst: &mut [f32], a: f32, src: &[f32]) {
-        debug_assert_eq!(dst.len(), src.len());
-        let len = dst.len();
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        let av = _mm256_set1_ps(a);
-        let mut j = 0;
-        // SAFETY: j + NR <= len in the vector loop; the tail is scalar.
-        unsafe {
-            while j + NR <= len {
-                let prod = _mm256_mul_ps(av, _mm256_loadu_ps(s.add(j)));
-                _mm256_storeu_ps(d.add(j), _mm256_add_ps(_mm256_loadu_ps(d.add(j)), prod));
-                j += NR;
-            }
-            while j < len {
-                *d.add(j) += a * *s.add(j);
-                j += 1;
-            }
-        }
-    }
 }
 
 /// Non-x86 stubs: [`active`] is always `false` off x86-64, so these are
@@ -309,17 +281,10 @@ mod fallback {
     pub(crate) unsafe fn add_assign(_dst: &mut [f32], _src: &[f32]) {
         unreachable!("SIMD dispatch is never active off x86-64");
     }
-
-    /// # Safety
-    ///
-    /// Never called: dispatch always selects the scalar kernels off x86-64.
-    pub(crate) unsafe fn axpy(_dst: &mut [f32], _a: f32, _src: &[f32]) {
-        unreachable!("SIMD dispatch is never active off x86-64");
-    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-pub(crate) use fallback::{add_assign, axpy, band_tiles};
+pub(crate) use fallback::{add_assign, band_tiles};
 
 #[cfg(test)]
 mod tests {
